@@ -32,7 +32,6 @@ from .invariants import (
     dim_difference,
     dim_toric,
     h1_theta,
-    interior_ray_count,
     milnor_cf,
     milnor_toric,
     nu,

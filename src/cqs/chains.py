@@ -81,7 +81,9 @@ def _search(caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     as an interior q drops to 0 or below, and the last coefficient is forced
     by the exact division q_e = 0. Read from the right end, the q-sequence
     is ratio-dominated by the recursion run with maximal coefficients, which
-    bounds how large an intermediate q may still return to zero.
+    bounds how large an intermediate q may still return to zero. The search
+    keeps an explicit stack, so its depth is not limited by the interpreter's
+    recursion limit.
     """
     m = len(caps)
     if m < 2:
@@ -92,25 +94,31 @@ def _search(caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     for t in range(1, m - 1):
         ceiling.append(caps[m - t] * ceiling[t] - ceiling[t - 1])
 
-    prefix: list[int] = []
-
-    def rec(q_prev: int, q_cur: int, j: int) -> Iterator[tuple[int, ...]]:
-        if j == m:
-            # q_{m+1} = x*q_m - q_{m-1} = 0 forces x exactly
-            if q_prev % q_cur == 0:
-                x = q_prev // q_cur
-                if 1 <= x <= caps[j - 1]:
-                    yield tuple(prefix) + (x,)
-            return
-        # positivity: x*q_cur - q_prev >= 1; ceiling: x*q_cur - q_prev bounded
-        lo = max(1, q_prev // q_cur + 1)
-        hi = min(caps[j - 1], (ceiling[m - j] + q_prev) // q_cur)
-        for x in range(lo, hi + 1):
-            prefix.append(x)
-            yield from rec(q_cur, x * q_cur - q_prev, j + 1)
-            prefix.pop()
-
-    yield from rec(0, 1, 1)
+    # slot j (1-based) holds xs[j-1], tried up to his[j-1]; qs[j-1], qs[j] is
+    # the state before slot j
+    xs = [0] * m
+    his = [0] * m
+    qs = [0, 1] + [0] * (m - 1)
+    last = caps[m - 1]
+    # positivity: x*q_j - q_{j-1} >= 1; ceiling: x*q_j - q_{j-1} bounded
+    his[0] = min(caps[0], ceiling[m - 1])
+    j = 1
+    while j:
+        x = xs[j - 1] + 1
+        if x > his[j - 1]:
+            j -= 1
+            continue
+        xs[j - 1] = x
+        q_prev, q_cur = qs[j], x * qs[j] - qs[j - 1]
+        if j == m - 1:
+            # q_{m+1} = y*q_m - q_{m-1} = 0 forces the last coefficient y
+            if q_prev % q_cur == 0 and 1 <= q_prev // q_cur <= last:
+                yield tuple(xs[: m - 1]) + (q_prev // q_cur,)
+            continue
+        j += 1
+        qs[j] = q_cur
+        xs[j - 1] = q_prev // q_cur
+        his[j - 1] = min(caps[j - 1], (ceiling[m - j] + q_prev) // q_cur)
 
 
 def zero_chains(m: int) -> tuple[KChain, ...]:

@@ -4,15 +4,17 @@ search that double-checks the chain enumeration.
 
 All fans live in normal coordinates, rays ordered counterclockwise from
 (1,0) to (-q,n). Each two-dimensional cone carries a roof: the segment its
-defining functional cuts out at its height, with exact rational endpoints.
+defining functional w cuts out at its height h. Both endpoints of every roof
+are the cone's primitive generators (asserted for chain-built fans, see
+fan_from_chain), so the module works in integers throughout.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .chains import KChain, rdp_chain
 from .errors import (
@@ -21,14 +23,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .lattice import (
-    LatticeVector,
-    Point,
-    det2,
-    lattice_length,
-    nvec,
-    pair,
-)
+from .lattice import LatticeVector, det2, nvec, pair
 from .model import (
     GENERAL,
     SMOOTH,
@@ -36,20 +31,17 @@ from .model import (
     SingularityClass,
     classify_cone,
     cone_geometry,
-    v_rays,
-    w_generators,
 )
 
 
 @dataclass(frozen=True)
 class Roof:
-    """Roof of a two-dimensional cone: the segment at height h cut out by w."""
+    """Roof of a two-dimensional cone: the segment at height h cut out by w,
+    from the cone's left generator to its right one, of lattice length l."""
 
     w: LatticeVector
     h: int
     l: int
-    left: Point
-    right: Point
 
 
 @dataclass(frozen=True)
@@ -79,9 +71,18 @@ class Fan:
     def interior_rays(self) -> tuple[LatticeVector, ...]:
         return self.rays[1:-1]
 
-    def roof_sum(self) -> Fraction:
-        """Sum of l/h over the two-dimensional cones."""
-        return sum((Fraction(c.roof.l, c.roof.h) for c in self.cones), Fraction(0))
+    def roof_sum(self) -> int:
+        """Sum of l/h over the two-dimensional cones; each l/h must be integral."""
+        total = 0
+        for c in self.cones:
+            quotient, rest = divmod(c.roof.l, c.roof.h)
+            if rest:
+                raise ConsistencyError(
+                    "non-integral l/h in a roof sum",
+                    cone=(c.left, c.right), l=c.roof.l, h=c.roof.h,
+                )
+            total += quotient
+        return total
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,10 @@ class ValidationReport:
 
 
 def _intrinsic_cone(u: LatticeVector, v: LatticeVector) -> Cone2D:
-    """Cone with the roof its own geometry defines: endpoints at the generators."""
+    """Cone with the roof its own geometry defines."""
     cls = classify_cone(u, v)
     w, h, l = cone_geometry(u, v)
-    return Cone2D(u, v, Roof(w, h, l, u.point(), v.point()), cls)
+    return Cone2D(u, v, Roof(w, h, l), cls)
 
 
 def fan_from_rays(rays) -> Fan:
@@ -113,7 +114,7 @@ def fan_from_rays(rays) -> Fan:
 
 def minimal_resolution_fan(nf: NormalForm) -> Fan:
     """Subdivision along all v^i; every cone must come out smooth."""
-    fan = fan_from_rays(v_rays(nf))
+    fan = fan_from_rays(nf.vs)
     for c in fan.cones:
         if c.cls.tag != SMOOTH:
             raise ConsistencyError(
@@ -123,8 +124,8 @@ def minimal_resolution_fan(nf: NormalForm) -> Fan:
 
 
 def _inside_sigma(nf: NormalForm, v: LatticeVector) -> bool:
-    s1, s2 = nf.sigma
-    return det2(s1, v) >= 0 and det2(v, s2) >= 0
+    # det((1,0), v) >= 0 and det(v, (-q,n)) >= 0
+    return v.y >= 0 and nf.n * v.x + nf.q * v.y >= 0
 
 
 def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
@@ -135,6 +136,19 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
     w^i/q_i - w^{i-1}/q_{i-1}). Consecutive duplicates come exactly from the
     degenerate indices a_i = k_i and are merged; each surviving cone tau_i
     carries the roof at height q_i with length (a_i - k_i)*q_i.
+
+    The roof of tau_i ends on the primitive generators of tau_i, i.e.
+    <rho, w^i> = q_i on both of its rays rho. Proof: w^{i-1}, w^i is a basis
+    of M (det(w^1, w^2) = -1 and the recursion keeps the determinant), so
+    (<rho, w^{i-1}>, <rho, w^i>) are the coordinates of rho in the dual basis
+    and are coprime for a primitive rho. The ray between tau_{i-1} and tau_i
+    is orthogonal to q_{i-1} w^i - q_i w^{i-1}, so these coordinates are
+    proportional to (q_{i-1}, q_i), which are coprime too (q_1 = 0, q_2 = 1
+    and q_{i+1} = k_i q_i - q_{i-1}); both are >= 0 on sigma, hence they are
+    equal. The ray between tau_i and tau_{i+1} has <rho, w^i> = q_i likewise;
+    the generators (1,0) and (-q,n) are the cases i = 2 and i = e. The
+    identity is asserted per cone, and the roof length is then the gcd of the
+    generators' difference.
     """
     e = nf.e
     a = nf.a_chain.coeffs
@@ -143,7 +157,7 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
     if any(k > ai for k, ai in zip(chain.k, a)):
         raise DomainError(f"chain {chain} exceeds the a-chain caps {list(a)}")
 
-    ws = w_generators(nf)
+    ws = nf.ws
     qs = chain.q_seq
     s_left, s_right = nf.sigma
 
@@ -179,14 +193,12 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
         rays.append(right)
 
         wi, qi = ws[i - 1], qs[i - 1]
-        endpoints = []
-        for ray in (left, right):
-            s = pair(ray, wi)
-            if s <= 0:
-                raise ValidationError(f"ray {ray} not positive against w^{i}")
-            endpoints.append((Fraction(ray.x * qi, s), Fraction(ray.y * qi, s)))
+        if pair(left, wi) != qi or pair(right, wi) != qi:
+            raise ValidationError(
+                f"roof of cone {left},{right} at height {qi} is off its generators"
+            )
         length = (a[i - 2] - chain.k[i - 2]) * qi
-        if lattice_length(*endpoints) != length:
+        if gcd(right.x - left.x, right.y - left.y) != length:
             raise ConsistencyError(
                 "roof length disagrees with (a_i - k_i) q_i",
                 index=i, chain=chain,
@@ -194,7 +206,7 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
         cls = classify_cone(left, right)
         if cls.tag == GENERAL:
             raise ValidationError(f"cone {left},{right} of {chain} fails the T-test")
-        cones.append(Cone2D(left, right, Roof(wi, qi, length, *endpoints), cls))
+        cones.append(Cone2D(left, right, Roof(wi, qi, length), cls))
         chain_cones.append(len(cones) - 1)
 
     if rays[-1] != s_right:
@@ -226,7 +238,8 @@ def validate_presolution(fan: Fan) -> ValidationReport:
     (1) every cone is smooth or T (h divides l); (2) adjacent roofs share
     their endpoint on the common ray; (3) the concatenated roof path is
     strictly convex at every interior ray. Collinear adjacent roofs are the
-    crepant case and fail, as does any reflex turn.
+    crepant case and fail, as does any reflex turn. Roofs end on the
+    primitive generators, so (2) and (3) are checks on the integer rays.
     """
     for c in fan.cones:
         if not c.cls.is_t_like:
@@ -234,18 +247,15 @@ def validate_presolution(fan: Fan) -> ValidationReport:
                 False, "t-test", f"cone {c.left},{c.right} has h={c.cls.h}, l={c.cls.l}"
             )
     for ca, cb in zip(fan.cones, fan.cones[1:]):
-        if ca.roof.right != cb.roof.left:
+        if ca.right != cb.left:
             return ValidationReport(
                 False, "roof-continuity",
-                f"roofs disagree on ray {cb.left}: {ca.roof.right} vs {cb.roof.left}",
+                f"roofs disagree between rays {ca.right} and {cb.left}",
             )
-    points = [fan.cones[0].roof.left] + [c.roof.right for c in fan.cones]
+    points = [fan.cones[0].left] + [c.right for c in fan.cones]
     for j in range(1, len(points) - 1):
-        ax = points[j][0] - points[j - 1][0]
-        ay = points[j][1] - points[j - 1][1]
-        bx = points[j + 1][0] - points[j][0]
-        by = points[j + 1][1] - points[j][1]
-        cross = ax * by - ay * bx
+        p0, p1, p2 = points[j - 1], points[j], points[j + 1]
+        cross = (p1.x - p0.x) * (p2.y - p1.y) - (p1.y - p0.y) * (p2.x - p1.x)
         if cross == 0:
             return ValidationReport(
                 False, "roof-convexity", f"collinear roofs (crepant) at {points[j]}"
@@ -333,7 +343,7 @@ def hull_boundary_lattice_points(nf: NormalForm) -> list[LatticeVector]:
     verts = hull_vertex_rays(nf)
     out = [verts[0]]
     for a, b in zip(verts, verts[1:]):
-        steps = int(lattice_length(a.xy, b.xy))
+        steps = gcd(b.x - a.x, b.y - a.y)
         sx, sy = (b.x - a.x) // steps, (b.y - a.y) // steps
         for s in range(1, steps + 1):
             out.append(nvec(a.x + sx * s, a.y + sy * s))
@@ -395,18 +405,3 @@ def brute_force_presolutions(nf: NormalForm, max_interior: int = 20) -> tuple[Fa
     survivors.sort(key=lambda f: tuple(r.xy for r in f.rays))
     return tuple(survivors)
 
-
-def roof_endpoint_anomalies(fan: Fan) -> list[str]:
-    """Roof endpoints that do not sit on the primitive ray generators.
-
-    Expected to be empty for every chain-built fan; reported instead of
-    assumed.
-    """
-    notes = []
-    for c in fan.cones:
-        if c.roof.left != c.left.point() or c.roof.right != c.right.point():
-            notes.append(
-                f"roof of cone {c.left},{c.right} has endpoints "
-                f"{c.roof.left}, {c.roof.right} off the primitive generators"
-            )
-    return notes

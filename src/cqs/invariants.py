@@ -10,13 +10,12 @@ cross-identity on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chains import KChain, admissible_chains
 from .errors import ConsistencyError, DomainError, HypersurfaceError
-from .fans import Fan, fan_from_chain, roof_endpoint_anomalies, validate_presolution
+from .fans import Fan, fan_from_chain, validate_presolution
 from .lattice import det2
-from .model import NormalForm, dim_t1, v_rays
+from .model import NormalForm, dim_t1
 
 
 def milnor_toric(fan: Fan) -> int:
@@ -46,15 +45,11 @@ def milnor_cf(nf: NormalForm, chain: KChain) -> int:
 def nu(nf: NormalForm) -> int:
     """Sum of det(v^{i-1}, v^{i+1}) over the interior rays of the minimal
     resolution; must equal the b-chain total."""
-    vs = v_rays(nf)
+    vs = nf.vs
     total = sum(det2(vs[i - 1], vs[i + 1]) for i in range(1, len(vs) - 1))
     if total != nf.b_chain.total:
         raise ConsistencyError("nu != sum(b_i)", nu=total, b_sum=nf.b_chain.total)
     return total
-
-
-def interior_ray_count(nf: NormalForm) -> int:
-    return nf.r
 
 
 def h1_theta(nf: NormalForm) -> int:
@@ -66,10 +61,11 @@ def dim_toric(nf: NormalForm, fan: Fan) -> int:
     """Component dimension from the fan: nu - 3r + 2*sum(l/h) - 2."""
     if nf.e <= 3:
         raise HypersurfaceError()
-    s = fan.roof_sum()
-    if s.denominator != 1:
-        raise ConsistencyError("non-integral roof sum", value=s)
-    return nu(nf) - 3 * nf.r + 2 * int(s) - 2
+    return _dim_toric(nu(nf), nf.r, fan)
+
+
+def _dim_toric(nu_val: int, r: int, fan: Fan) -> int:
+    return nu_val - 3 * r + 2 * fan.roof_sum() - 2
 
 
 def dim_cf(nf: NormalForm, chain: KChain) -> int:
@@ -85,10 +81,7 @@ def dim_difference(fan1: Fan, fan2: Fan) -> int:
     read off the fans alone: 2*sum_1(l/h) - 2*sum_2(l/h)."""
     if (fan1.rays[0], fan1.rays[-1]) != (fan2.rays[0], fan2.rays[-1]):
         raise DomainError("fans subdivide different cones")
-    diff = 2 * (fan1.roof_sum() - fan2.roof_sum())
-    if diff.denominator != 1:
-        raise ConsistencyError("non-integral dimension difference", value=diff)
-    return int(diff)
+    return 2 * (fan1.roof_sum() - fan2.roof_sum())
 
 
 @dataclass(frozen=True)
@@ -170,14 +163,13 @@ def component_table(nf: NormalForm) -> SingularityReport:
                 chain=chain, failed=report.failed, detail=report.detail,
             )
         _check_cone_roofs(chain, fan)
-        warnings.extend(roof_endpoint_anomalies(fan))
 
         m_t, m_c = milnor_toric(fan), milnor_cf(nf, chain)
         if m_t != m_c:
             raise ConsistencyError(
                 "milnor numbers disagree", chain=chain, toric=m_t, cf=m_c
             )
-        d_t, d_c = dim_toric(nf, fan), dim_cf(nf, chain)
+        d_t, d_c = _dim_toric(nu_val, r, fan), dim_cf(nf, chain)
         if d_t != d_c:
             raise ConsistencyError(
                 "dimensions disagree", chain=chain, toric=d_t, cf=d_c

@@ -1,9 +1,12 @@
 """Exact 2D lattice primitives.
 
-Everything in this module is plain integer or ``fractions.Fraction``
-arithmetic: no floats, no rounding, no overflow. Vectors are tagged with the
-lattice they live in (N for rays and points, M for functionals and roof
-normals) so that the pairing can only be taken between opposite sides.
+Everything in this module is exact: no floats, no rounding, no overflow.
+Vectors, pairings and continued fractions are plain integer arithmetic;
+``fractions.Fraction`` appears only in the two rational oracles, cf_eval and
+lattice_length, which the package keeps public for tests and callers but no
+longer uses on its own computing paths. Vectors are tagged with the lattice
+they live in (N for rays and points, M for functionals and roof normals) so
+that the pairing can only be taken between opposite sides.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from .errors import DomainError
 N_SIDE = "N"
 M_SIDE = "M"
 
-#: a rational point in the plane
-Point = tuple[Fraction, Fraction]
+#: a point in the plane with integer or rational coordinates
 PointLike = Sequence[Union[int, Fraction]]
 
 
@@ -68,9 +70,6 @@ class LatticeVector:
 
     def scaled(self, c: int) -> "LatticeVector":
         return LatticeVector(c * self.x, c * self.y, self.side)
-
-    def point(self) -> Point:
-        return (Fraction(self.x), Fraction(self.y))
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"

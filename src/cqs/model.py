@@ -10,6 +10,7 @@ both recursions carry self-detecting endpoint identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import ConsistencyError, DomainError, HypersurfaceError, SmoothConeError
@@ -86,6 +87,8 @@ class NormalForm:
 
     transform maps g1 to (1,0) and g2 to (-q,n); dual_q is the inverse of q
     mod n, which is what normalizing the reversed generator order yields.
+    The generator recursions and the inverse transform are computed on first
+    use and kept, so every chain of one singularity shares them.
     """
 
     n: int
@@ -110,18 +113,36 @@ class NormalForm:
         """Generators of the cone in normal coordinates, counterclockwise."""
         return (nvec(1, 0), nvec(-self.q, self.n))
 
-    def inverse_transform(self) -> Mat2:
+    @cached_property
+    def ws(self) -> tuple[LatticeVector, ...]:
+        """The dual generators w^1, ..., w^e (see w_generators)."""
+        return tuple(w_generators(self))
+
+    @cached_property
+    def vs(self) -> tuple[LatticeVector, ...]:
+        """The minimal resolution rays v^0, ..., v^{r+1} (see v_rays)."""
+        return tuple(v_rays(self))
+
+    @cached_property
+    def _inverse(self) -> Mat2:
         return mat_inverse_unimodular(self.transform)
+
+    def inverse_transform(self) -> Mat2:
+        return self._inverse
 
     def to_input_ray(self, v: LatticeVector) -> LatticeVector:
         """Map an N-side vector from normal coordinates back to input coordinates."""
-        x, y = mat_vec(self.inverse_transform(), v.xy)
+        if self.transform == IDENTITY:
+            return v
+        x, y = mat_vec(self._inverse, v.xy)
         return LatticeVector(x, y, v.side)
 
     def to_input_normal(self, w: LatticeVector) -> LatticeVector:
         """Map an M-side vector back to input coordinates (transpose rule)."""
         if w.side != M_SIDE:
             raise ValueError("expected an M-side vector")
+        if self.transform == IDENTITY:
+            return w
         x, y = mat_vec(mat_transpose(self.transform), w.xy)
         return LatticeVector(x, y, M_SIDE)
 

@@ -3,13 +3,11 @@ origin to the primitive generators, one dashed roof polyline, ray labels.
 
 Rendering is a pure function of the fan and the style constants below, so
 identical input yields byte-identical output. Figures are drawn in the input
-cone's coordinates.
+cone's coordinates. Every coordinate written is a whole number of thousandths
+of a pixel, so the figure is computed in integers.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import ceil, floor
 
 from .fans import Fan, minimal_resolution_fan
 from .invariants import SingularityReport
@@ -29,11 +27,10 @@ STYLE = {
 }
 
 
-def _fmt(v) -> str:
-    """Exact decimal with at most three places, deterministic."""
-    n = round(Fraction(v) * 1000)
-    sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), 1000)
+def _fmt(milli: int) -> str:
+    """milli / 1000 as an exact decimal with at most three places."""
+    sign = "-" if milli < 0 else ""
+    whole, frac = divmod(abs(milli), 1000)
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}." + f"{frac:03d}".rstrip("0")
@@ -44,26 +41,21 @@ def fan_svg(fan: Fan, nf: NormalForm, scale: int | None = None) -> str:
     margin = STYLE["margin"]
 
     gens = [nf.to_input_ray(r).xy for r in fan.rays]
-    inv = nf.inverse_transform()
-    roof_pts: list[tuple[Fraction, Fraction]] = []
-    if fan.cones:
-        path = [fan.cones[0].roof.left] + [c.roof.right for c in fan.cones]
-        for px, py in path:
-            roof_pts.append(
-                (inv[0][0] * px + inv[0][1] * py, inv[1][0] * px + inv[1][1] * py)
-            )
+    # every roof ends on its cone's primitive generators
+    path = [fan.cones[0].left] + [c.right for c in fan.cones] if fan.cones else []
+    roof_pts = [nf.to_input_ray(r).xy for r in path]
 
-    xs = [Fraction(0)] + [Fraction(x) for x, _ in gens] + [p[0] for p in roof_pts]
-    ys = [Fraction(0)] + [Fraction(y) for _, y in gens] + [p[1] for p in roof_pts]
-    x0, x1 = floor(min(xs)) - margin, ceil(max(xs)) + margin
-    y0, y1 = floor(min(ys)) - margin, ceil(max(ys)) + margin
+    xs = [0] + [x for x, _ in gens + roof_pts]
+    ys = [0] + [y for _, y in gens + roof_pts]
+    x0, x1 = min(xs) - margin, max(xs) + margin
+    y0, y1 = min(ys) - margin, max(ys) + margin
     width, height = (x1 - x0) * scale, (y1 - y0) * scale
 
-    def sx(x) -> str:
-        return _fmt((Fraction(x) - x0) * scale)
+    def sx(x: int) -> str:
+        return _fmt((x - x0) * scale * 1000)
 
-    def sy(y) -> str:
-        return _fmt((y1 - Fraction(y)) * scale)
+    def sy(y: int) -> str:
+        return _fmt((y1 - y) * scale * 1000)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -88,8 +80,9 @@ def fan_svg(fan: Fan, nf: NormalForm, scale: int | None = None) -> str:
             f'stroke-dasharray="{STYLE["dash"]}"/>'
         )
     for i, (gx, gy) in enumerate(gens):
-        lx = (Fraction(gx) - x0) * scale + Fraction(scale, 8)
-        ly = (y1 - Fraction(gy)) * scale - Fraction(scale, 8)
+        # labels sit an eighth of a cell up and right of the generator
+        lx = (gx - x0) * scale * 1000 + scale * 125
+        ly = (y1 - gy) * scale * 1000 - scale * 125
         out.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="sans-serif" '
             f'font-size="{STYLE["font_size"]}">v{i}</text>'

@@ -4,6 +4,7 @@ and the ray-subset search."""
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cqs.chains import KChain, admissible_chains, rdp_chain
 from cqs.errors import DomainError, ResourceLimitError
@@ -56,7 +57,7 @@ class TestFanFromChain:
         (cone,) = fan.cones
         assert (cone.roof.h, cone.roof.l) == (3, 6)
         assert fan.chain_cones == (None, 0, None, None)
-        assert lattice_length(cone.roof.left, cone.roof.right) == 6
+        assert lattice_length(cone.left.xy, cone.right.xy) == 6
 
     def test_one_interior_ray(self):
         nf = NormalForm.from_nq(18, 11)
@@ -109,15 +110,17 @@ class TestFanFromChain:
             for chain in admissible_chains(nf.a_chain):
                 fan = fan_from_chain(nf, chain)
                 for ca, cb in zip(fan.cones, fan.cones[1:]):
-                    assert ca.roof.right == cb.roof.left
+                    assert ca.right == cb.left
 
     def test_roof_endpoints_on_generators(self):
+        # the roof at height h meets both rays at their primitive generators
         for n, q in sweep_pairs(25):
             nf = NormalForm.from_nq(n, q)
             for chain in admissible_chains(nf.a_chain):
                 for c in fan_from_chain(nf, chain).cones:
-                    assert c.roof.left == c.left.point()
-                    assert c.roof.right == c.right.point()
+                    assert pair(c.left, c.roof.w) == c.roof.h
+                    assert pair(c.right, c.roof.w) == c.roof.h
+                    assert lattice_length(c.left.xy, c.right.xy) == c.roof.l
 
     def test_chain_cap_enforced(self):
         nf = NormalForm.from_nq(18, 11)
@@ -125,6 +128,30 @@ class TestFanFromChain:
             fan_from_chain(nf, KChain.from_coeffs((2, 2, 1, 3)))  # k_5 = 3 > a_5 = 2
         with pytest.raises(DomainError):
             fan_from_chain(nf, KChain.from_coeffs((1, 1)))  # wrong length
+
+
+@st.composite
+def singularities(draw, max_n=10**4, max_e=30):
+    """Y(n,q) with e >= 4 (q <= n - 2) and e <= max_e."""
+    n = draw(st.integers(3, max_n))
+    q = draw(st.integers(1, n - 2))
+    assume(gcd(n, q) == 1)
+    nf = NormalForm.from_nq(n, q)
+    assume(nf.e <= max_e)
+    return nf
+
+
+class TestChainFanProperties:
+    @settings(deadline=None)
+    @given(nf=singularities())
+    def test_integer_roofs_on_generators(self, nf):
+        for chain in admissible_chains(nf.a_chain):
+            fan = fan_from_chain(nf, chain)
+            for c in fan.cones:
+                assert pair(c.left, c.roof.w) == pair(c.right, c.roof.w) == c.roof.h
+            assert type(fan.roof_sum()) is int
+            strict = sum(1 for a, k in zip(nf.a_chain, chain.k) if a > k)
+            assert len(fan.cones) == strict
 
 
 class TestRdpFan:

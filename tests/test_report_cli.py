@@ -46,6 +46,15 @@ class TestAnalyze:
         assert len(doc["components"]) == 2
         assert doc["input"] == {"nq": [4, 1]}
 
+    def test_long_chain_no_recursion_limit(self):
+        # e - 2 = 1099 slots: deeper than the interpreter's recursion limit
+        code, out, _ = run_cli("analyze", "--nq", "1100", "1", "--json")
+        assert code == 0
+        (comp,) = json.loads(out)["components"]
+        assert comp["is_artin"]
+        assert comp["milnor"]["toric"] == comp["milnor"]["cf"]
+        assert comp["dim"]["toric"] == comp["dim"]["cf"]
+
     def test_non_coprime_exit_2(self):
         code, _, err = run_cli("analyze", "--nq", "12", "8")
         assert code == 2

@@ -26,13 +26,17 @@ def q_sequence(k: Sequence[int]) -> tuple[int, ...]:
     return tuple(qs)
 
 
-def is_zero_chain(k: Sequence[int]) -> bool:
-    """True iff the interior q_i are positive and the final q_e is zero."""
-    k = tuple(k)
+def _zero_chain_q_sequence(k: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The q-sequence of k if k is a zero chain, else None."""
     if not k or any(c < 1 for c in k):
         raise DomainError("zero-chain test needs a nonempty chain with entries >= 1")
     qs = q_sequence(k)
-    return all(qi > 0 for qi in qs[1:-1]) and qs[-1] == 0
+    return qs if all(qi > 0 for qi in qs[1:-1]) and qs[-1] == 0 else None
+
+
+def is_zero_chain(k: Sequence[int]) -> bool:
+    """True iff the interior q_i are positive and the final q_e is zero."""
+    return _zero_chain_q_sequence(tuple(k)) is not None
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,10 @@ class KChain:
     @classmethod
     def from_coeffs(cls, k: Sequence[int]) -> "KChain":
         k = tuple(int(c) for c in k)
-        if not is_zero_chain(k):
+        qs = _zero_chain_q_sequence(k)
+        if qs is None:
             raise DomainError(f"{list(k)} is not an admissible zero chain")
-        return cls(k, q_sequence(k))
+        return cls(k, qs)
 
     def __len__(self) -> int:
         return len(self.k)

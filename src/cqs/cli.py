@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -73,7 +72,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=60, metavar="N")
     p.add_argument("--oracle", action="store_true",
                    help="also run the ray-subset search (n <= 20)")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -160,8 +158,7 @@ class _SweepSummary:
     oracle_fans: int
 
 
-def _sweep_one(task: tuple[int, int, bool]) -> _SweepSummary | str:
-    n, q, oracle = task
+def _sweep_one(n: int, q: int, oracle: bool) -> _SweepSummary | str:
     try:
         nf = NormalForm.from_nq(n, q)
         report = component_table(nf)
@@ -186,17 +183,12 @@ def _sweep_one(task: tuple[int, int, bool]) -> _SweepSummary | str:
 def cmd_sweep(args, stdout, stderr) -> int:
     if args.max_n < 3:
         raise UsageError("--max-n must be >= 3")
-    tasks = [
-        (n, q, args.oracle)
+    results = [
+        _sweep_one(n, q, args.oracle)
         for n in range(3, args.max_n + 1)
         for q in range(1, n - 1)
         if gcd(n, q) == 1
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_one, tasks))
-    else:
-        results = [_sweep_one(t) for t in tasks]
 
     failures = [r for r in results if isinstance(r, str)]
     summaries = {(s.n, s.q): s for s in results if isinstance(s, _SweepSummary)}

@@ -5,8 +5,11 @@ search that double-checks the chain enumeration.
 All fans live in normal coordinates, rays ordered counterclockwise from
 (1,0) to (-q,n). Each two-dimensional cone carries a roof: the segment its
 defining functional w cuts out at its height h. Both endpoints of every roof
-are the cone's primitive generators (asserted for chain-built fans, see
-fan_from_chain), so the module works in integers throughout.
+are the cone's primitive generators, so the module works in integers
+throughout. Every roof is checked against the cone's own geometry
+(model.cone_geometry, run once per cone): chain-built roofs must equal it,
+other cones take it as their roof. A cone's class (smooth, Du Val A, T or
+general) is read off its roof.
 """
 
 from __future__ import annotations
@@ -23,15 +26,8 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .lattice import LatticeVector, det2, nvec, pair
-from .model import (
-    GENERAL,
-    SMOOTH,
-    NormalForm,
-    SingularityClass,
-    classify_cone,
-    cone_geometry,
-)
+from .lattice import LatticeVector, det2, nvec
+from .model import SMOOTH, NormalForm, SingularityClass, cone_geometry
 
 
 @dataclass(frozen=True)
@@ -46,10 +42,17 @@ class Roof:
 
 @dataclass(frozen=True)
 class Cone2D:
+    """The cone <left, right> with its roof, which the constructors in this
+    module have checked against the cone's own geometry. The class is derived
+    from the roof's height and length."""
+
     left: LatticeVector
     right: LatticeVector
     roof: Roof
-    cls: SingularityClass
+
+    @functools.cached_property
+    def cls(self) -> SingularityClass:
+        return SingularityClass.of_roof(self.roof.h, self.roof.l)
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,7 @@ class ValidationReport:
 
 def _intrinsic_cone(u: LatticeVector, v: LatticeVector) -> Cone2D:
     """Cone with the roof its own geometry defines."""
-    cls = classify_cone(u, v)
-    w, h, l = cone_geometry(u, v)
-    return Cone2D(u, v, Roof(w, h, l), cls)
+    return Cone2D(u, v, Roof(*cone_geometry(u, v)))
 
 
 def fan_from_rays(rays) -> Fan:
@@ -146,9 +147,10 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
     proportional to (q_{i-1}, q_i), which are coprime too (q_1 = 0, q_2 = 1
     and q_{i+1} = k_i q_i - q_{i-1}); both are >= 0 on sigma, hence they are
     equal. The ray between tau_i and tau_{i+1} has <rho, w^i> = q_i likewise;
-    the generators (1,0) and (-q,n) are the cases i = 2 and i = e. The
-    identity is asserted per cone, and the roof length is then the gcd of the
-    generators' difference.
+    the generators (1,0) and (-q,n) are the cases i = 2 and i = e. So the
+    cone's own geometry (w, h, l) must equal (w^i, q_i, (a_i - k_i) q_i); one
+    comparison per cone asserts it. Then h divides l, and every cone passes
+    the T-test.
     """
     e = nf.e
     a = nf.a_chain.coeffs
@@ -190,30 +192,22 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
             continue
         if left != rays[-1]:
             raise ValidationError(f"rays out of order at index {i}")
+        if det2(left, right) <= 0:
+            raise ValidationError(f"rays out of angular order: {left}, {right}")
         rays.append(right)
 
-        wi, qi = ws[i - 1], qs[i - 1]
-        if pair(left, wi) != qi or pair(right, wi) != qi:
-            raise ValidationError(
-                f"roof of cone {left},{right} at height {qi} is off its generators"
-            )
-        length = (a[i - 2] - chain.k[i - 2]) * qi
-        if gcd(right.x - left.x, right.y - left.y) != length:
+        roof = Roof(ws[i - 1], qs[i - 1], (a[i - 2] - chain.k[i - 2]) * qs[i - 1])
+        intrinsic = Roof(*cone_geometry(left, right))
+        if intrinsic != roof:
             raise ConsistencyError(
-                "roof length disagrees with (a_i - k_i) q_i",
-                index=i, chain=chain,
+                "chain roof (w^i, q_i, (a_i - k_i) q_i) disagrees with the cone's geometry",
+                index=i, chain=chain, roof=roof, intrinsic=intrinsic,
             )
-        cls = classify_cone(left, right)
-        if cls.tag == GENERAL:
-            raise ValidationError(f"cone {left},{right} of {chain} fails the T-test")
-        cones.append(Cone2D(left, right, Roof(wi, qi, length), cls))
+        cones.append(Cone2D(left, right, roof))
         chain_cones.append(len(cones) - 1)
 
     if rays[-1] != s_right:
         raise ValidationError("fan does not close up on the second generator")
-    for u, v in zip(rays, rays[1:]):
-        if det2(u, v) <= 0:
-            raise ValidationError(f"rays out of angular order: {u}, {v}")
     return Fan(tuple(rays), tuple(cones), tuple(chain_cones))
 
 

@@ -20,15 +20,7 @@ from .model import NormalForm, dim_t1
 
 def milnor_toric(fan: Fan) -> int:
     """Second Betti number of the Milnor fiber: sum of l/h over cones, minus 1."""
-    total = 0
-    for c in fan.cones:
-        if c.roof.l % c.roof.h != 0:
-            raise ConsistencyError(
-                "non-integral l/h in a fan that should be a P-resolution",
-                cone=(c.left, c.right), l=c.roof.l, h=c.roof.h,
-            )
-        total += c.roof.l // c.roof.h
-    return total - 1
+    return fan.roof_sum() - 1
 
 
 def _q_one_count(e: int, q_seq: tuple[int, ...]) -> int:
@@ -127,17 +119,6 @@ def known_divergence_warnings(a_chain: tuple[int, ...]) -> list[str]:
     return []
 
 
-def _check_cone_roofs(chain: KChain, fan: Fan) -> None:
-    """Chain-predicted roof data must equal the intrinsic cone geometry."""
-    for c in fan.cones:
-        if (c.roof.h, c.roof.l) != (c.cls.h, c.cls.l):
-            raise ConsistencyError(
-                "chain roof disagrees with intrinsic cone geometry",
-                chain=chain, cone=(c.left, c.right),
-                roof=(c.roof.h, c.roof.l), intrinsic=(c.cls.h, c.cls.l),
-            )
-
-
 def component_table(nf: NormalForm) -> SingularityReport:
     """All components of the reduced versal base, every identity asserted.
 
@@ -162,7 +143,6 @@ def component_table(nf: NormalForm) -> SingularityReport:
                 "chain fan fails P-resolution validation",
                 chain=chain, failed=report.failed, detail=report.detail,
             )
-        _check_cone_roofs(chain, fan)
 
         m_t, m_c = milnor_toric(fan), milnor_cf(nf, chain)
         if m_t != m_c:

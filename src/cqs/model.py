@@ -127,9 +127,6 @@ class NormalForm:
     def _inverse(self) -> Mat2:
         return mat_inverse_unimodular(self.transform)
 
-    def inverse_transform(self) -> Mat2:
-        return self._inverse
-
     def to_input_ray(self, v: LatticeVector) -> LatticeVector:
         """Map an N-side vector from normal coordinates back to input coordinates."""
         if self.transform == IDENTITY:
@@ -160,9 +157,6 @@ class NormalForm:
             a_chain=hj_expand(n, n - q, ROLE_A),
             b_chain=hj_expand(n, q, ROLE_B),
         )
-
-    def dual(self) -> "NormalForm":
-        return NormalForm.from_nq(self.n, self.dual_q)
 
     def __str__(self) -> str:
         return f"Y({self.n},{self.q})"
@@ -262,6 +256,23 @@ class SingularityClass:
     h: int
     l: int
 
+    @classmethod
+    def of_roof(cls, h: int, l: int) -> "SingularityClass":
+        """Class of a cone whose roof has height h and length l (det = l*h).
+
+        Smooth means det = 1; Du Val A is a height-1 roof of length >= 2;
+        T requires h | l.
+        """
+        if h * l == 1:
+            tag = SMOOTH
+        elif h == 1:
+            tag = DUVAL_A
+        elif l % h == 0:
+            tag = T_SINGULARITY
+        else:
+            tag = GENERAL
+        return cls(tag, h, l)
+
     @property
     def is_t_like(self) -> bool:
         """True for the cones allowed in a P-resolution (h divides l)."""
@@ -307,11 +318,9 @@ def cone_geometry(u: LatticeVector, v: LatticeVector) -> tuple[LatticeVector, in
 
 
 def classify_cone(u: LatticeVector, v: LatticeVector) -> SingularityClass:
-    """Classify the cone <u, v> as smooth, Du Val A, T, or general.
-
-    Orientation is normalized so that det > 0. Smooth means det = 1; Du Val A
-    is a height-1 roof of length >= 2; T requires h | l.
-    """
+    """Classify the cone <u, v> as smooth, Du Val A, T, or general by its
+    roof (see SingularityClass.of_roof). Orientation is normalized so that
+    det > 0."""
     if not (u.is_primitive() and v.is_primitive()):
         raise DomainError("cone generators must be primitive")
     d0 = det2(u, v)
@@ -319,16 +328,8 @@ def classify_cone(u: LatticeVector, v: LatticeVector) -> SingularityClass:
         raise DomainError("degenerate cone (det = 0)")
     if d0 < 0:
         u, v = v, u
-    w, h, l = cone_geometry(u, v)
-    if abs(d0) == 1:
-        tag = SMOOTH
-    elif h == 1:
-        tag = DUVAL_A
-    elif l % h == 0:
-        tag = T_SINGULARITY
-    else:
-        tag = GENERAL
-    return SingularityClass(tag, h, l)
+    _, h, l = cone_geometry(u, v)
+    return SingularityClass.of_roof(h, l)
 
 
 def dim_t1(nf: NormalForm) -> int:

@@ -19,7 +19,15 @@ from cqs.fans import (
     validate_presolution,
 )
 from cqs.lattice import lattice_length, pair
-from cqs.model import DUVAL_A, SMOOTH, NormalForm, v_rays, w_generators
+from cqs.model import (
+    DUVAL_A,
+    SMOOTH,
+    NormalForm,
+    classify_cone,
+    cone_geometry,
+    v_rays,
+    w_generators,
+)
 
 
 def sweep_pairs(max_n, step=1):
@@ -93,14 +101,16 @@ class TestFanFromChain:
                 assert len(fan.cones) == strict
 
     def test_roofs_match_intrinsic_geometry(self):
-        # chain-predicted (w, h, l) equals what the cone itself says
+        # chain-predicted (w, h, l) and class equal what the rays themselves say
         for n, q in sweep_pairs(30):
             nf = NormalForm.from_nq(n, q)
             ws = {w.xy for w in w_generators(nf)}
             for chain in admissible_chains(nf.a_chain):
                 fan = fan_from_chain(nf, chain)
                 for c in fan.cones:
-                    assert (c.roof.h, c.roof.l) == (c.cls.h, c.cls.l), (n, q, chain)
+                    roof = (c.roof.w, c.roof.h, c.roof.l)
+                    assert roof == cone_geometry(c.left, c.right), (n, q, chain)
+                    assert c.cls == classify_cone(c.left, c.right), (n, q, chain)
                     assert c.roof.w.xy in ws
                     assert pair(c.left, c.roof.w) == c.roof.h
 
@@ -149,6 +159,8 @@ class TestChainFanProperties:
             fan = fan_from_chain(nf, chain)
             for c in fan.cones:
                 assert pair(c.left, c.roof.w) == pair(c.right, c.roof.w) == c.roof.h
+                assert (c.roof.w, c.roof.h, c.roof.l) == cone_geometry(c.left, c.right)
+                assert c.cls == classify_cone(c.left, c.right)
             assert type(fan.roof_sum()) is int
             strict = sum(1 for a, k in zip(nf.a_chain, chain.k) if a > k)
             assert len(fan.cones) == strict

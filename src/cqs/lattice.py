@@ -51,7 +51,7 @@ class LatticeVector:
         g = gcd(self.x, self.y)
         if g == 0:
             raise DomainError("the zero vector has no primitive representative")
-        return LatticeVector(self.x // g, self.y // g, self.side)
+        return _with_valid_side(self.x // g, self.y // g, self.side)
 
     def _same_side(self, other: "LatticeVector") -> None:
         if self.side != other.side:
@@ -59,20 +59,31 @@ class LatticeVector:
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         self._same_side(other)
-        return LatticeVector(self.x + other.x, self.y + other.y, self.side)
+        return _with_valid_side(self.x + other.x, self.y + other.y, self.side)
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         self._same_side(other)
-        return LatticeVector(self.x - other.x, self.y - other.y, self.side)
+        return _with_valid_side(self.x - other.x, self.y - other.y, self.side)
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector(-self.x, -self.y, self.side)
+        return _with_valid_side(-self.x, -self.y, self.side)
 
     def scaled(self, c: int) -> "LatticeVector":
-        return LatticeVector(c * self.x, c * self.y, self.side)
+        return _with_valid_side(c * self.x, c * self.y, self.side)
 
     def __str__(self) -> str:
         return f"({self.x},{self.y})"
+
+
+def _with_valid_side(x: int, y: int, side: str) -> LatticeVector:
+    """A vector whose side was taken from a valid vector: skips __post_init__.
+
+    Arithmetic results use it, so the side test runs once per vector built
+    from outside, not once per sum or multiple.
+    """
+    v = object.__new__(LatticeVector)
+    v.__dict__.update(x=x, y=y, side=side)
+    return v
 
 
 def nvec(x: int, y: int) -> LatticeVector:

@@ -1,24 +1,58 @@
 """Zero continued fractions: the q-recursion route against the rational
 evaluator, enumeration completeness, admissible subsets."""
 
+import io
+import time
+from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqs.chains import (
+    MAX_ZERO_CHAINS,
     KChain,
+    _pocket_ceiling,
+    _search,
     admissible_chains,
     is_zero_chain,
     q_sequence,
     rdp_chain,
     zero_chains,
 )
-from cqs.errors import DomainError
+from cqs.cli import main
+from cqs.errors import DomainError, ResourceLimitError
 from cqs.lattice import ROLE_A, CoeffChain, cf_eval
 from cqs.model import NormalForm
 
-CATALAN = {2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429, 9: 1430}
+CATALAN = {
+    2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 132, 8: 429, 9: 1430,
+    10: 4862, 11: 16796, 12: 58786,
+}
+
+# two {2,3} a-chains of the benchmark's wide catalogue, 96 admissible chains each
+LONG_A_CHAINS = (
+    "23233322322222223223233323232223232222323222222322222332232222",
+    "23223222223222232332222222323323232222232223232222322232322322222333223222222222",
+)
+
+
+@lru_cache(maxsize=None)
+def zero_chain_coeffs(m):
+    return tuple(c.k for c in zero_chains(m))
+
+
+def capped(m, caps):
+    """Post-filtering: the zero chains of length m bounded by caps."""
+    return [k for k in zero_chain_coeffs(m) if all(ki <= ci for ki, ci in zip(k, caps))]
+
+
+@st.composite
+def cap_vectors(draw):
+    """Length m in 2..10, caps in 1..m-1."""
+    m = draw(st.integers(2, 10))
+    return tuple(draw(st.lists(st.integers(1, m - 1), min_size=m, max_size=m)))
 
 
 def zero_by_rational_route(k):
@@ -103,6 +137,18 @@ class TestZeroChains:
             for chain in zero_chains(m):
                 assert max(chain.k) <= m - 1
 
+    @pytest.mark.parametrize("m", [15, 10**9])
+    def test_cli_refuses_oversized_length(self, m):
+        # Catalan(14) chains would not fit in memory: refused before building any
+        assert comb(28, 14) // 15 > MAX_ZERO_CHAINS >= comb(26, 13) // 14
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        code = main(["chains", "--len", str(m), "--count-only"], out, err)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
     def test_q_values_positive_and_closed(self):
         for chain in zero_chains(6):
             qs = chain.q_seq
@@ -156,6 +202,33 @@ class TestAdmissibleChains:
                 forward = {c.k for c in admissible_chains(nf.a_chain)}
                 backward = {c.k for c in admissible_chains(nf.a_chain.reversed())}
                 assert backward == {k[::-1] for k in forward}
+
+    @settings(deadline=None)
+    @given(caps=cap_vectors())
+    def test_search_matches_post_filtering(self, caps):
+        # the capped search and the triangulation recursion are independent
+        assert list(_search(caps)) == capped(len(caps), caps)
+
+    def test_q_within_pocket_ceiling(self):
+        for n in range(4, 61):
+            for q in range(1, n - 1):
+                if gcd(n, q) != 1:
+                    continue
+                a = NormalForm.from_nq(n, q).a_chain
+                m = len(a)
+                ceil = _pocket_ceiling(tuple(min(ai, m - 1) for ai in a))
+                for chain in admissible_chains(a):
+                    qs = chain.q_seq  # qs[v] = Q_v for v = 0..m+1
+                    assert all(qs[v] <= ceil[v] for v in range(1, m + 1)), (n, q, chain)
+
+    @pytest.mark.parametrize("digits", LONG_A_CHAINS, ids=lambda d: f"len{len(d)}")
+    def test_long_catalogue_chains(self, digits):
+        a = tuple(int(c) for c in digits)
+        ks = [c.k for c in admissible_chains(a)]
+        assert len(ks) == 96
+        assert ks == sorted(set(ks))
+        assert all(len(k) == len(a) and all(ki <= ai for ki, ai in zip(k, a)) for k in ks)
+        assert rdp_chain(len(a)).k in ks
 
     def test_entry_floor_enforced(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,7 @@ from cqs.lattice import (
     ROLE_A,
     ROLE_K,
     CoeffChain,
+    LatticeVector,
     cf_eval,
     det2,
     hj_expand,
@@ -164,6 +165,19 @@ class TestVectorsAndChains:
     def test_no_mixed_arithmetic(self):
         with pytest.raises(ValueError):
             nvec(1, 0) + mvec(0, 1)
+
+    def test_derived_vectors_match_constructed_ones(self):
+        # arithmetic skips the side check but builds the same values
+        for make, side in ((nvec, "N"), (mvec, "M")):
+            u, v = make(-4, 6), make(3, 1)
+            for got, xy in (
+                (u + v, (-1, 7)), (u - v, (-7, 5)), (-u, (4, -6)),
+                (u.scaled(3), (-12, 18)), (u.primitive(), (-2, 3)),
+            ):
+                want = LatticeVector(*xy, side)
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        with pytest.raises(ValueError):
+            LatticeVector(1, 2, "X")
 
     def test_primitive(self):
         assert nvec(-4, 6).primitive().xy == (-2, 3)

@@ -49,7 +49,7 @@ from .lattice import (
 from .model import (
     InputCone,
     NormalForm,
-    SingularityClass,
+    Roof,
     classify_cone,
     dim_t1,
     normalize_cone,

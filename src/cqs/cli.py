@@ -1,6 +1,7 @@
 """Command-line front end: analyze, chains, render, sweep.
 
-Exit codes: 0 ok, 1 usage, 2 domain (smooth cone, hypersurface case),
+Exit codes: 0 ok, 1 usage, 2 domain (smooth cone, hypersurface case) or
+resource bound (chains --len >= 15, the subset oracle's 2^20 guard),
 3 internal consistency failure. Diagnostics go to stderr, documents to
 stdout.
 """
@@ -133,6 +134,8 @@ def cmd_chains(args, stdout, stderr) -> int:
 
 
 def cmd_render(args, stdout, stderr) -> int:
+    if args.scale < 1:
+        raise UsageError("--scale must be >= 1")
     nf, echo = _nf_from_args(args)
     report = component_table(nf)
     figures = fan_figures(report, args.scale)

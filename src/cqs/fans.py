@@ -4,12 +4,12 @@ search that double-checks the chain enumeration.
 
 All fans live in normal coordinates, rays ordered counterclockwise from
 (1,0) to (-q,n). Each two-dimensional cone carries a roof: the segment its
-defining functional w cuts out at its height h. Both endpoints of every roof
-are the cone's primitive generators, so the module works in integers
-throughout. Every roof is checked against the cone's own geometry
+defining functional w cuts out at its height h (model.Roof). Both endpoints
+of every roof are the cone's primitive generators, so the module works in
+integers throughout. Every roof is checked against the cone's own geometry
 (model.cone_geometry, run once per cone): chain-built roofs must equal it,
-other cones take it as their roof. A cone's class (smooth, Du Val A, T or
-general) is read off its roof.
+other cones take it as their roof. The roof is also the cone's class
+(smooth, Du Val A, T or general): Roof.tag reads it off h and l.
 """
 
 from __future__ import annotations
@@ -27,46 +27,25 @@ from .errors import (
     ValidationError,
 )
 from .lattice import LatticeVector, det2, nvec
-from .model import SMOOTH, NormalForm, SingularityClass, cone_geometry
-
-
-@dataclass(frozen=True)
-class Roof:
-    """Roof of a two-dimensional cone: the segment at height h cut out by w,
-    from the cone's left generator to its right one, of lattice length l."""
-
-    w: LatticeVector
-    h: int
-    l: int
+from .model import SMOOTH, NormalForm, Roof, cone_geometry
 
 
 @dataclass(frozen=True)
 class Cone2D:
     """The cone <left, right> with its roof, which the constructors in this
-    module have checked against the cone's own geometry. The class is derived
-    from the roof's height and length."""
+    module have checked against the cone's own geometry."""
 
     left: LatticeVector
     right: LatticeVector
     roof: Roof
 
-    @functools.cached_property
-    def cls(self) -> SingularityClass:
-        return SingularityClass.of_roof(self.roof.h, self.roof.l)
-
 
 @dataclass(frozen=True)
 class Fan:
-    """Ordered subdivision of the normalized cone.
-
-    chain_cones, present on chain-built fans, maps each chain index
-    i = 2..e-1 (stored 0-based) to the position of its cone, or None for a
-    degenerate (merged) one.
-    """
+    """Ordered subdivision of the normalized cone."""
 
     rays: tuple[LatticeVector, ...]
     cones: tuple[Cone2D, ...]
-    chain_cones: tuple[int | None, ...] | None = None
 
     def ray_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(r.xy for r in self.rays)
@@ -97,7 +76,7 @@ class ValidationReport:
 
 def _intrinsic_cone(u: LatticeVector, v: LatticeVector) -> Cone2D:
     """Cone with the roof its own geometry defines."""
-    return Cone2D(u, v, Roof(*cone_geometry(u, v)))
+    return Cone2D(u, v, cone_geometry(u, v))
 
 
 def fan_from_rays(rays) -> Fan:
@@ -117,7 +96,7 @@ def minimal_resolution_fan(nf: NormalForm) -> Fan:
     """Subdivision along all v^i; every cone must come out smooth."""
     fan = fan_from_rays(nf.vs)
     for c in fan.cones:
-        if c.cls.tag != SMOOTH:
+        if c.roof.tag != SMOOTH:
             raise ConsistencyError(
                 "minimal resolution produced a singular cone", cone=(c.left, c.right)
             )
@@ -132,25 +111,27 @@ def _inside_sigma(nf: NormalForm, v: LatticeVector) -> bool:
 def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
     """The fan attached to an admissible chain.
 
-    Interior ray candidates for i = 3..e-1 are the primitive vectors in sigma
-    orthogonal to q_{i-1}*w^i - q_i*w^{i-1} (the integer multiple of
-    w^i/q_i - w^{i-1}/q_{i-1}). Consecutive duplicates come exactly from the
-    degenerate indices a_i = k_i and are merged; each surviving cone tau_i
-    carries the roof at height q_i with length (a_i - k_i)*q_i.
+    The ray between tau_{i-1} and tau_i (i = 3..e-1) is the vector rho with
+    dual coordinates (<rho, w^{i-1}>, <rho, w^i>) = (q_{i-1}, q_i). These
+    determine it, since w^{i-1}, w^i is a basis of M (det(w^1, w^2) = -1 and
+    the recursion keeps the determinant): with w^{i-1} = (a0, b0) and
+    w^i = (a1, b1),
 
-    The roof of tau_i ends on the primitive generators of tau_i, i.e.
-    <rho, w^i> = q_i on both of its rays rho. Proof: w^{i-1}, w^i is a basis
-    of M (det(w^1, w^2) = -1 and the recursion keeps the determinant), so
-    (<rho, w^{i-1}>, <rho, w^i>) are the coordinates of rho in the dual basis
-    and are coprime for a primitive rho. The ray between tau_{i-1} and tau_i
-    is orthogonal to q_{i-1} w^i - q_i w^{i-1}, so these coordinates are
-    proportional to (q_{i-1}, q_i), which are coprime too (q_1 = 0, q_2 = 1
-    and q_{i+1} = k_i q_i - q_{i-1}); both are >= 0 on sigma, hence they are
-    equal. The ray between tau_i and tau_{i+1} has <rho, w^i> = q_i likewise;
-    the generators (1,0) and (-q,n) are the cases i = 2 and i = e. So the
-    cone's own geometry (w, h, l) must equal (w^i, q_i, (a_i - k_i) q_i); one
-    comparison per cone asserts it. Then h divides l, and every cone passes
-    the T-test.
+        rho = (b0 q_i - b1 q_{i-1}, a1 q_{i-1} - a0 q_i).
+
+    rho is primitive because q_{i-1} and q_i are coprime (q_1 = 0, q_2 = 1
+    and q_{i+1} = k_i q_i - q_{i-1}); that it lies in sigma is checked.
+    Consecutive duplicates come exactly from the degenerate indices
+    a_i = k_i and are merged; each surviving cone tau_i carries the roof at
+    height q_i with length (a_i - k_i)*q_i.
+
+    That roof ends on the primitive generators of tau_i: both of its rays
+    have <rho, w^i> = q_i, the interior rays by construction and the
+    generators (1,0) and (-q,n) because their dual coordinates are
+    (q_1, q_2) = (0, 1) in the basis w^1, w^2 and (q_{e-1}, q_e) = (1, 0) in
+    the basis w^{e-1}, w^e. So the cone's own roof (w, h, l) must equal
+    (w^i, q_i, (a_i - k_i) q_i); one comparison per cone asserts it. Then h
+    divides l, and every cone passes the T-test.
     """
     e = nf.e
     a = nf.a_chain.coeffs
@@ -165,20 +146,15 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
 
     raw = [s_left]
     for i in range(3, e):
-        # orthogonal to u = q_{i-1} w^i - q_i w^{i-1}, rotated into sigma
-        ux = qs[i - 2] * ws[i - 1].x - qs[i - 1] * ws[i - 2].x
-        uy = qs[i - 2] * ws[i - 1].y - qs[i - 1] * ws[i - 2].y
-        cand = nvec(-uy, ux).primitive()
-        if not _inside_sigma(nf, cand):
-            cand = -cand
-        if not _inside_sigma(nf, cand):
-            raise ValidationError(f"no orthogonal ray inside sigma for index {i}")
-        raw.append(cand)
+        w0, w1, q0, q1 = ws[i - 2], ws[i - 1], qs[i - 2], qs[i - 1]
+        ray = nvec(w0.y * q1 - w1.y * q0, w1.x * q0 - w0.x * q1)
+        if not _inside_sigma(nf, ray):
+            raise ValidationError(f"ray for index {i} lies outside sigma: {ray}")
+        raw.append(ray)
     raw.append(s_right)
 
     rays = [s_left]
     cones: list[Cone2D] = []
-    chain_cones: list[int | None] = []
     for i in range(2, e):
         left, right = raw[i - 2], raw[i - 1]
         degenerate = a[i - 2] == chain.k[i - 2]
@@ -188,7 +164,6 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
                 f"{left} vs {right}, a_i={a[i - 2]}, k_i={chain.k[i - 2]}"
             )
         if degenerate:
-            chain_cones.append(None)
             continue
         if left != rays[-1]:
             raise ValidationError(f"rays out of order at index {i}")
@@ -197,18 +172,17 @@ def fan_from_chain(nf: NormalForm, chain: KChain) -> Fan:
         rays.append(right)
 
         roof = Roof(ws[i - 1], qs[i - 1], (a[i - 2] - chain.k[i - 2]) * qs[i - 1])
-        intrinsic = Roof(*cone_geometry(left, right))
+        intrinsic = cone_geometry(left, right)
         if intrinsic != roof:
             raise ConsistencyError(
                 "chain roof (w^i, q_i, (a_i - k_i) q_i) disagrees with the cone's geometry",
                 index=i, chain=chain, roof=roof, intrinsic=intrinsic,
             )
         cones.append(Cone2D(left, right, roof))
-        chain_cones.append(len(cones) - 1)
 
     if rays[-1] != s_right:
         raise ValidationError("fan does not close up on the second generator")
-    return Fan(tuple(rays), tuple(cones), tuple(chain_cones))
+    return Fan(tuple(rays), tuple(cones))
 
 
 def rdp_fan(nf: NormalForm) -> Fan:
@@ -236,9 +210,9 @@ def validate_presolution(fan: Fan) -> ValidationReport:
     primitive generators, so (2) and (3) are checks on the integer rays.
     """
     for c in fan.cones:
-        if not c.cls.is_t_like:
+        if not c.roof.is_t_like:
             return ValidationReport(
-                False, "t-test", f"cone {c.left},{c.right} has h={c.cls.h}, l={c.cls.l}"
+                False, "t-test", f"cone {c.left},{c.right} has h={c.roof.h}, l={c.roof.l}"
             )
     for ca, cb in zip(fan.cones, fan.cones[1:]):
         if ca.right != cb.left:
@@ -387,7 +361,7 @@ def brute_force_presolutions(nf: NormalForm, max_interior: int = 20) -> tuple[Fa
             ok = True
             for i, j in zip(idxs, idxs[1:]):
                 c = cone_at(i, j)
-                if not c.cls.is_t_like:
+                if not c.roof.is_t_like:
                     ok = False
                     break
                 cones.append(c)

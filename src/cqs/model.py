@@ -9,7 +9,7 @@ both recursions carry self-detecting endpoint identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
 
@@ -198,15 +198,7 @@ def normalize_cone(cone: InputCone) -> NormalForm:
         )
     if mat_det(transform) not in (1, -1):
         raise ConsistencyError("normalizing transform is not unimodular")
-    base = NormalForm.from_nq(n, q)
-    return NormalForm(
-        n=n,
-        q=q,
-        dual_q=base.dual_q,
-        transform=transform,
-        a_chain=base.a_chain,
-        b_chain=base.b_chain,
-    )
+    return replace(NormalForm.from_nq(n, q), transform=transform)
 
 
 def w_generators(nf: NormalForm) -> list[LatticeVector]:
@@ -249,60 +241,44 @@ GENERAL = "general"
 
 
 @dataclass(frozen=True)
-class SingularityClass:
-    """Classification of a two-dimensional cone by its roof height and length."""
+class Roof:
+    """Roof of a two-dimensional cone: the segment at height h cut out by the
+    primitive normal w, between the cone's generators, of lattice length l.
 
-    tag: str
+    det = l*h, so the roof is also the cone's class: smooth means det = 1, Du
+    Val A is a height-1 roof of length >= 2, and T requires h | l.
+    """
+
+    w: LatticeVector
     h: int
     l: int
 
-    @classmethod
-    def of_roof(cls, h: int, l: int) -> "SingularityClass":
-        """Class of a cone whose roof has height h and length l (det = l*h).
-
-        Smooth means det = 1; Du Val A is a height-1 roof of length >= 2;
-        T requires h | l.
-        """
-        if h * l == 1:
-            tag = SMOOTH
-        elif h == 1:
-            tag = DUVAL_A
-        elif l % h == 0:
-            tag = T_SINGULARITY
-        else:
-            tag = GENERAL
-        return cls(tag, h, l)
+    @property
+    def tag(self) -> str:
+        if self.h * self.l == 1:
+            return SMOOTH
+        if self.h == 1:
+            return DUVAL_A
+        if self.l % self.h == 0:
+            return T_SINGULARITY
+        return GENERAL
 
     @property
     def is_t_like(self) -> bool:
         """True for the cones allowed in a P-resolution (h divides l)."""
-        return self.tag != GENERAL
-
-    @property
-    def smoothing_milnor(self) -> int:
-        """Milnor number l/h - 1 of the one-parameter Q-Gorenstein smoothing."""
-        if not self.is_t_like:
-            raise DomainError("no Q-Gorenstein smoothing for a general cone")
-        return self.l // self.h - 1
-
-    @property
-    def duval_index(self) -> int:
-        if self.tag != DUVAL_A:
-            raise DomainError("not a Du Val A cone")
-        return self.l - 1
+        return self.l % self.h == 0
 
     def label(self) -> str:
-        if self.tag == SMOOTH:
-            return "smooth"
-        if self.tag == DUVAL_A:
+        tag = self.tag
+        if tag == DUVAL_A:
             return f"A_{self.l - 1}"
-        if self.tag == T_SINGULARITY:
+        if tag == T_SINGULARITY:
             return f"T(h={self.h},l={self.l})"
-        return "general"
+        return tag
 
 
-def cone_geometry(u: LatticeVector, v: LatticeVector) -> tuple[LatticeVector, int, int]:
-    """(w, h, l) of the cone <u, v>: primitive roof normal, height, length.
+def cone_geometry(u: LatticeVector, v: LatticeVector) -> Roof:
+    """Roof of the cone <u, v>: primitive roof normal w, height h, length l.
 
     Requires det(u, v) > 0. The identity det = l * h is asserted.
     """
@@ -314,13 +290,12 @@ def cone_geometry(u: LatticeVector, v: LatticeVector) -> tuple[LatticeVector, in
         raise ConsistencyError("roof normal heights disagree", u=u, v=v)
     if l * h != det2(u, v):
         raise ConsistencyError("det(u,v) != l*h", u=u, v=v, l=l, h=h)
-    return w, h, l
+    return Roof(w, h, l)
 
 
-def classify_cone(u: LatticeVector, v: LatticeVector) -> SingularityClass:
-    """Classify the cone <u, v> as smooth, Du Val A, T, or general by its
-    roof (see SingularityClass.of_roof). Orientation is normalized so that
-    det > 0."""
+def classify_cone(u: LatticeVector, v: LatticeVector) -> Roof:
+    """Roof of the cone <u, v>, oriented so that det > 0; its tag says
+    smooth, Du Val A, T or general."""
     if not (u.is_primitive() and v.is_primitive()):
         raise DomainError("cone generators must be primitive")
     d0 = det2(u, v)
@@ -328,8 +303,7 @@ def classify_cone(u: LatticeVector, v: LatticeVector) -> SingularityClass:
         raise DomainError("degenerate cone (det = 0)")
     if d0 < 0:
         u, v = v, u
-    _, h, l = cone_geometry(u, v)
-    return SingularityClass.of_roof(h, l)
+    return cone_geometry(u, v)
 
 
 def dim_t1(nf: NormalForm) -> int:

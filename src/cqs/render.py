@@ -41,12 +41,9 @@ def fan_svg(fan: Fan, nf: NormalForm, scale: int | None = None) -> str:
     margin = STYLE["margin"]
 
     gens = [nf.to_input_ray(r).xy for r in fan.rays]
-    # every roof ends on its cone's primitive generators
-    path = [fan.cones[0].left] + [c.right for c in fan.cones] if fan.cones else []
-    roof_pts = [nf.to_input_ray(r).xy for r in path]
 
-    xs = [0] + [x for x, _ in gens + roof_pts]
-    ys = [0] + [y for _, y in gens + roof_pts]
+    xs = [0] + [x for x, _ in gens]
+    ys = [0] + [y for _, y in gens]
     x0, x1 = min(xs) - margin, max(xs) + margin
     y0, y1 = min(ys) - margin, max(ys) + margin
     width, height = (x1 - x0) * scale, (y1 - y0) * scale
@@ -72,13 +69,14 @@ def fan_svg(fan: Fan, nf: NormalForm, scale: int | None = None) -> str:
             f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(gx)}" y2="{sy(gy)}" '
             f'stroke="{STYLE["stroke"]}" stroke-width="{STYLE["ray_width"]}"/>'
         )
-    if roof_pts:
-        pts = " ".join(f"{sx(px)},{sy(py)}" for px, py in roof_pts)
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{STYLE["stroke"]}" '
-            f'stroke-width="{STYLE["roof_width"]}" '
-            f'stroke-dasharray="{STYLE["dash"]}"/>'
-        )
+    # every roof ends on its cone's primitive generators, so the roof path
+    # runs through the generators in ray order
+    pts = " ".join(f"{sx(gx)},{sy(gy)}" for gx, gy in gens)
+    out.append(
+        f'<polyline points="{pts}" fill="none" stroke="{STYLE["stroke"]}" '
+        f'stroke-width="{STYLE["roof_width"]}" '
+        f'stroke-dasharray="{STYLE["dash"]}"/>'
+    )
     for i, (gx, gy) in enumerate(gens):
         # labels sit an eighth of a cell up and right of the generator
         lx = (gx - x0) * scale * 1000 + scale * 125

@@ -32,7 +32,7 @@ def _cone_entry(nf: NormalForm, cone) -> dict:
             "h": cone.roof.h,
             "l": cone.roof.l,
         },
-        "class": {"tag": cone.cls.tag, "h": cone.cls.h, "l": cone.cls.l},
+        "class": {"tag": cone.roof.tag, "h": cone.roof.h, "l": cone.roof.l},
     }
 
 
@@ -109,7 +109,7 @@ def to_text(report: SingularityReport, input_echo: dict) -> str:
             left = nf.to_input_ray(cone.left)
             right = nf.to_input_ray(cone.right)
             lines.append(
-                f"      cone {left}^{right}: {cone.cls.label()}"
+                f"      cone {left}^{right}: {cone.roof.label()}"
                 f"  h={cone.roof.h} l={cone.roof.l}"
             )
         lines.append(f"      milnor: toric={c.milnor_toric} cf={c.milnor_cf}")

@@ -42,7 +42,7 @@ class TestMinimalResolution:
         fan = minimal_resolution_fan(NormalForm.from_nq(18, 11))
         assert len(fan.rays) == 5
         assert len(fan.cones) == 4
-        assert all(c.cls.tag == SMOOTH for c in fan.cones)
+        assert all(c.roof.tag == SMOOTH for c in fan.cones)
 
     def test_a1(self):
         fan = minimal_resolution_fan(NormalForm.from_nq(2, 1))
@@ -64,7 +64,7 @@ class TestFanFromChain:
         assert [r.xy for r in fan.rays] == [(1, 0), (-11, 18)]
         (cone,) = fan.cones
         assert (cone.roof.h, cone.roof.l) == (3, 6)
-        assert fan.chain_cones == (None, 0, None, None)
+        assert [c.roof.w.xy for c in fan.cones] == [(3, 2)]  # w^3
         assert lattice_length(cone.left.xy, cone.right.xy) == 6
 
     def test_one_interior_ray(self):
@@ -72,14 +72,14 @@ class TestFanFromChain:
         fan = fan_from_chain(nf, KChain.from_coeffs((1, 3, 1, 2)))
         assert [r.xy for r in fan.rays] == [(1, 0), (-1, 2), (-11, 18)]
         assert [(c.roof.h, c.roof.l) for c in fan.cones] == [(1, 2), (2, 2)]
-        assert fan.chain_cones == (0, None, 1, None)
+        assert [c.roof.w.xy for c in fan.cones] == [(1, 1), (8, 5)]  # w^2, w^4
 
     def test_rdp_chain_fan(self):
         nf = NormalForm.from_nq(18, 11)
         fan = fan_from_chain(nf, KChain.from_coeffs((1, 2, 2, 1)))
         assert [r.xy for r in fan.rays] == [(1, 0), (-1, 2), (-3, 5), (-11, 18)]
         assert sorted((c.roof.l, c.roof.h) for c in fan.cones) == [(1, 1), (1, 1), (2, 1)]
-        assert fan.chain_cones == (0, 1, None, 2)
+        assert [c.roof.w.xy for c in fan.cones] == [(1, 1), (3, 2), (13, 8)]  # w^2, w^3, w^5
 
     def test_interior_rays_in_input_coordinates(self):
         # the worked cone: interior rays land on (0,1) and (1,1)
@@ -101,16 +101,15 @@ class TestFanFromChain:
                 assert len(fan.cones) == strict
 
     def test_roofs_match_intrinsic_geometry(self):
-        # chain-predicted (w, h, l) and class equal what the rays themselves say
+        # the chain-predicted roof equals what the rays themselves say
         for n, q in sweep_pairs(30):
             nf = NormalForm.from_nq(n, q)
             ws = {w.xy for w in w_generators(nf)}
             for chain in admissible_chains(nf.a_chain):
                 fan = fan_from_chain(nf, chain)
                 for c in fan.cones:
-                    roof = (c.roof.w, c.roof.h, c.roof.l)
-                    assert roof == cone_geometry(c.left, c.right), (n, q, chain)
-                    assert c.cls == classify_cone(c.left, c.right), (n, q, chain)
+                    assert c.roof == cone_geometry(c.left, c.right), (n, q, chain)
+                    assert c.roof == classify_cone(c.left, c.right), (n, q, chain)
                     assert c.roof.w.xy in ws
                     assert pair(c.left, c.roof.w) == c.roof.h
 
@@ -159,8 +158,8 @@ class TestChainFanProperties:
             fan = fan_from_chain(nf, chain)
             for c in fan.cones:
                 assert pair(c.left, c.roof.w) == pair(c.right, c.roof.w) == c.roof.h
-                assert (c.roof.w, c.roof.h, c.roof.l) == cone_geometry(c.left, c.right)
-                assert c.cls == classify_cone(c.left, c.right)
+                assert c.roof == cone_geometry(c.left, c.right)
+                assert c.roof == classify_cone(c.left, c.right)
             assert type(fan.roof_sum()) is int
             strict = sum(1 for a, k in zip(nf.a_chain, chain.k) if a > k)
             assert len(fan.cones) == strict
@@ -172,7 +171,7 @@ class TestRdpFan:
         for n, q in sweep_pairs(40):
             fan = rdp_fan(NormalForm.from_nq(n, q))
             assert all(c.roof.h == 1 for c in fan.cones)
-            assert all(c.cls.tag in (SMOOTH, DUVAL_A) for c in fan.cones)
+            assert all(c.roof.tag in (SMOOTH, DUVAL_A) for c in fan.cones)
 
     def test_hypersurface_rejected(self):
         with pytest.raises(DomainError):

@@ -154,17 +154,17 @@ class TestGenerators:
 
 class TestClassify:
     def test_wahl_quarter_point(self):
-        cls = classify_cone(nvec(1, 0), nvec(-1, 4))
-        assert (cls.tag, cls.h, cls.l) == (T_SINGULARITY, 2, 2)
-        assert cls.smoothing_milnor == 0
+        roof = classify_cone(nvec(1, 0), nvec(-1, 4))
+        assert (roof.tag, roof.h, roof.l, roof.label()) == (T_SINGULARITY, 2, 2, "T(h=2,l=2)")
+        assert roof.is_t_like
 
     def test_a1_segment(self):
-        cls = classify_cone(nvec(0, 1), nvec(2, 1))
-        assert (cls.tag, cls.duval_index) == (DUVAL_A, 1)
+        roof = classify_cone(nvec(0, 1), nvec(2, 1))
+        assert (roof.tag, roof.label()) == (DUVAL_A, "A_1")
 
     def test_y5_2_general(self):
-        cls = classify_cone(nvec(1, 0), nvec(-2, 5))
-        assert cls.tag == GENERAL
+        roof = classify_cone(nvec(1, 0), nvec(-2, 5))
+        assert (roof.tag, roof.is_t_like, roof.label()) == (GENERAL, False, "general")
         assert not is_t_parametric(5, 2)
 
     def test_smooth(self):

@@ -1,13 +1,33 @@
 """CLI surface: exit codes, document canonicality, SVG determinism."""
 
+import hashlib
 import io
 import json
 import xml.etree.ElementTree as ET
+from math import gcd
 
 import pytest
 
 from cqs.cli import main
+from cqs.invariants import component_table
+from cqs.model import InputCone, NormalForm, normalize_cone
+from cqs.render import fan_figures
 from cqs.report import to_json
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+#: sha256 of the worked example's output; a change in any byte fails
+WORKED_TEXT_SHA256 = "29c1cf18d02fe6f7dcf32602a33e557f28d17dfcb692cb9cd3f92761696a2548"
+WORKED_FIGURE_SHA256 = {
+    "fan_1-2-2-1.svg": "54108c41fc00eae8284f95e848abecf2e5208274250c58be3f7a3098800b9482",
+    "fan_1-3-1-2.svg": "8d051f55adf52805f2a066c795fdfa24f01279bf02d5e7612afca0c3d301cf41",
+    "fan_3-1-2-2.svg": "63f928d989d1315b226d75dccd10275b670160ee8cd7db974c99271660b46ff7",
+    "fan_minimal.svg": "1b121614c6616bd4edc77f1e34601152913a918c01dd294cdd502ee9474b6674",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run_cli(*argv):
@@ -79,6 +99,11 @@ class TestAnalyze:
         assert code == 0
         assert "Y(18,11)" in out
         assert "milnor: toric=3 cf=3" in out
+
+    def test_worked_cone_text_bytes_pinned(self):
+        code, out, _ = run_cli("analyze", "--cone", "-2,3,4,3", "--text")
+        assert code == 0
+        assert sha256(out.encode()) == WORKED_TEXT_SHA256
 
 
 class TestBigIntEncoding:
@@ -171,6 +196,33 @@ class TestRender:
         run_cli("render", "--nq", "4", "1", "--out", str(a))
         run_cli("render", "--nq", "4", "1", "--out", str(b), "--scale", "20")
         assert (a / "fan_minimal.svg").read_text() != (b / "fan_minimal.svg").read_text()
+
+    @pytest.mark.parametrize("scale", ["0", "-3"])
+    def test_scale_below_one_exit_1(self, tmp_path, scale):
+        out = tmp_path / "figs"
+        code, stdout, err = run_cli("render", "--nq", "18", "11", "--out", str(out),
+                                    "--scale", scale)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_figure_bytes_pinned(self, tmp_path):
+        assert run_cli("render", "--nq", "18", "11", "--out", str(tmp_path))[0] == 0
+        got = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+        assert got == WORKED_FIGURE_SHA256
+
+    def test_roof_polyline_runs_through_ray_ends(self):
+        nfs = [normalize_cone(InputCone.from_ints(-2, 3, 4, 3))]
+        nfs += [NormalForm.from_nq(n, q) for n in range(3, 16) for q in range(1, n - 1)
+                if gcd(n, q) == 1]
+        for nf in nfs:
+            for name, text in fan_figures(component_table(nf)).items():
+                root = ET.fromstring(text)
+                ends = [(e.get("x2"), e.get("y2")) for e in root.iter(SVG + "line")]
+                (roof,) = root.iter(SVG + "polyline")
+                points = [tuple(p.split(",")) for p in roof.get("points").split()]
+                assert points == ends, (nf, name)
 
     def test_unwritable_directory_exit_1(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -1,9 +1,9 @@
 """Command-line front end: analyze, chains, render, sweep.
 
 Exit codes: 0 ok, 1 usage, 2 domain (smooth cone, hypersurface case) or
-resource bound (chains --len >= 15, the subset oracle's 2^20 guard),
-3 internal consistency failure. Diagnostics go to stderr, documents to
-stdout.
+resource bound (chains --len >= 15, an a- or b-chain longer than 10^5,
+out of memory), 3 internal consistency failure or any other internal error.
+Diagnostics go to stderr, documents to stdout.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="cross-formula consistency sweep")
     p.add_argument("--max-n", type=int, default=60, metavar="N")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the ray-subset search (n <= 20)")
+                   help="also run the convex-path P-resolution oracle")
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -166,11 +166,11 @@ def _sweep_one(n: int, q: int, oracle: bool) -> _SweepSummary | str:
         nf = NormalForm.from_nq(n, q)
         report = component_table(nf)
         oracle_fans = 0
-        if oracle and n <= 20:
+        if oracle:
             brute = {f.ray_set() for f in brute_force_presolutions(nf)}
             chain_fans = {c.fan.ray_set() for c in report.components}
             if brute != chain_fans:
-                return f"({n} {q} -) subset search disagrees with chain fans"
+                return f"({n} {q} -) P-resolution oracle disagrees with chain fans"
             oracle_fans = len(brute)
         return _SweepSummary(
             n=n, q=q, dual_q=nf.dual_q,
@@ -262,6 +262,12 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return 2
     except (ConsistencyError, ValidationError) as exc:
         print(f"internal consistency failure: {exc}", file=stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=stderr)
         return 3
 
 

@@ -1,6 +1,6 @@
 """Fan constructions over a normalized cone: minimal resolution, RDP fan,
-the fan of an admissible chain, P-resolution validation, and the ray-subset
-search that double-checks the chain enumeration.
+the fan of an admissible chain, P-resolution validation, and the
+convex-path oracle that double-checks the chain enumeration.
 
 All fans live in normal coordinates, rays ordered counterclockwise from
 (1,0) to (-q,n). Each two-dimensional cone carries a roof: the segment its
@@ -10,22 +10,22 @@ integers throughout. Every roof is checked against the cone's own geometry
 (model.cone_geometry, run once per cone): chain-built roofs must equal it,
 other cones take it as their roof. The roof is also the cone's class
 (smooth, Du Val A, T or general): Roof.tag reads it off h and l.
+
+The oracle (brute_force_presolutions) finds the P-resolutions without the
+chains: a P-resolution is a path from (1,0) to (-q,n) through the dominating
+rays whose every cone is T and whose roof path turns strictly convex at each
+interior ray. It searches edges i -> j of T-cones, keeps those from which a
+convex path still reaches the end ray, and lists exactly those paths.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .chains import KChain, rdp_chain
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import ConsistencyError, DomainError, ValidationError
 from .lattice import LatticeVector, det2, nvec
 from .model import SMOOTH, NormalForm, Roof, cone_geometry
 
@@ -200,6 +200,12 @@ def rdp_fan(nf: NormalForm) -> Fan:
     return fan
 
 
+def _turn(p0: tuple[int, int], p1: tuple[int, int], p2: tuple[int, int]) -> int:
+    """Cross product of p1 - p0 and p2 - p1: positive for a left
+    (counterclockwise) turn at p1, zero when the three points are collinear."""
+    return (p1[0] - p0[0]) * (p2[1] - p1[1]) - (p1[1] - p0[1]) * (p2[0] - p1[0])
+
+
 def validate_presolution(fan: Fan) -> ValidationReport:
     """Check the three P-resolution conditions.
 
@@ -222,8 +228,7 @@ def validate_presolution(fan: Fan) -> ValidationReport:
             )
     points = [fan.cones[0].left] + [c.right for c in fan.cones]
     for j in range(1, len(points) - 1):
-        p0, p1, p2 = points[j - 1], points[j], points[j + 1]
-        cross = (p1.x - p0.x) * (p2.y - p1.y) - (p1.y - p0.y) * (p2.x - p1.x)
+        cross = _turn(points[j - 1].xy, points[j].xy, points[j + 1].xy)
         if cross == 0:
             return ValidationReport(
                 False, "roof-convexity", f"collinear roofs (crepant) at {points[j]}"
@@ -235,7 +240,7 @@ def validate_presolution(fan: Fan) -> ValidationReport:
     return ValidationReport(True)
 
 
-# --- lattice points, hulls, ray-subset search ------------------------------
+# --- lattice points, hulls, convex-path oracle -----------------------------
 
 
 def triangle_lattice_points(nf: NormalForm) -> list[tuple[int, int]]:
@@ -256,18 +261,14 @@ def _convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     lower: list[tuple[int, int]] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and _turn(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list[tuple[int, int]] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and _turn(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
@@ -293,10 +294,7 @@ def hull_vertex_rays(nf: NormalForm) -> list[LatticeVector]:
     # the chain facing the origin keeps its interior strictly off the
     # hypotenuse [g1, g2], on the origin's side
     def on_origin_side(p):
-        hx, hy = g2[0] - g1[0], g2[1] - g1[1]
-        c = hx * (p[1] - g1[1]) - hy * (p[0] - g1[0])
-        c0 = hx * (0 - g1[1]) - hy * (0 - g1[0])
-        return c * c0 > 0
+        return _turn(g1, g2, p) * _turn(g1, g2, (0, 0)) > 0
 
     for candidate in (forward, backward):
         interior = candidate[1:-1]
@@ -329,47 +327,42 @@ def dominating_interior_rays(nf: NormalForm) -> list[LatticeVector]:
     return rays
 
 
-def brute_force_presolutions(nf: NormalForm, max_interior: int = 20) -> tuple[Fan, ...]:
-    """All P-resolutions found by the ray-subset method.
+def brute_force_presolutions(nf: NormalForm) -> tuple[Fan, ...]:
+    """All P-resolutions, found as convex T-paths through the dominating rays.
 
-    Enumerates every subset of the dominating fan's interior rays and keeps
-    exactly the fans passing validate_presolution. Intended for small n; the
-    subset space is guarded at 2**max_interior.
+    An edge i -> j between the counterclockwise-sorted rays exists when the
+    cone <rays[i], rays[j]> is T (one cone_geometry call per pair). An edge
+    is live when it ends on (-q,n) or continues in a live edge j -> k that
+    turns strictly convex at rays[j]; filled backward from the end ray,
+    live[i, j] holds the edge's cone and those k. The forward walk extends only live edges, so
+    every path it starts ends in a P-resolution: O(R^2) cones, O(R^3) turn
+    tests, and work per fan found. Consecutive roofs share the ray between
+    them, so roof continuity holds on every path.
     """
     if nf.e <= 3:
-        raise DomainError("subset search needs embedding dimension >= 4")
-    inner = dominating_interior_rays(nf)
-    if len(inner) > max_interior:
-        raise ResourceLimitError(
-            f"{len(inner)} interior rays exceed the bound of {max_interior}"
-        )
+        raise DomainError("the P-resolution oracle needs embedding dimension >= 4")
     s_left, s_right = nf.sigma
-    all_rays = [s_left] + inner + [s_right]
-    cone_cache: dict[tuple[int, int], Cone2D] = {}
-
-    def cone_at(i: int, j: int) -> Cone2D:
-        key = (i, j)
-        if key not in cone_cache:
-            cone_cache[key] = _intrinsic_cone(all_rays[i], all_rays[j])
-        return cone_cache[key]
-
-    survivors = []
-    for size in range(len(inner) + 1):
-        for combo in combinations(range(1, len(inner) + 1), size):
-            idxs = (0, *combo, len(all_rays) - 1)
-            cones = []
-            ok = True
-            for i, j in zip(idxs, idxs[1:]):
-                c = cone_at(i, j)
-                if not c.roof.is_t_like:
-                    ok = False
-                    break
-                cones.append(c)
-            if not ok:
+    rays = [s_left] + dominating_interior_rays(nf) + [s_right]
+    pts = [r.xy for r in rays]
+    end = len(rays) - 1
+    live: dict[tuple[int, int], tuple[Cone2D, list[int]]] = {}
+    for i in range(end - 1, -1, -1):
+        for j in range(i + 1, end + 1):
+            cone = _intrinsic_cone(rays[i], rays[j])
+            if not cone.roof.is_t_like:
                 continue
-            fan = Fan(tuple(all_rays[t] for t in idxs), tuple(cones))
-            if validate_presolution(fan).ok:
-                survivors.append(fan)
-    survivors.sort(key=lambda f: tuple(r.xy for r in f.rays))
-    return tuple(survivors)
-
+            succ = [k for k in range(j + 1, end + 1)
+                    if (j, k) in live and _turn(pts[i], pts[j], pts[k]) < 0]
+            if j == end or succ:
+                live[i, j] = (cone, succ)
+    fans = []
+    stack = [[0, j] for j in range(1, end + 1) if (0, j) in live]
+    while stack:
+        path = stack.pop()
+        if path[-1] == end:
+            fans.append(Fan(tuple(rays[t] for t in path),
+                            tuple(live[a, b][0] for a, b in zip(path, path[1:]))))
+        else:
+            stack.extend(path + [k] for k in live[path[-2], path[-1]][1])
+    fans.sort(key=lambda f: tuple(r.xy for r in f.rays))
+    return tuple(fans)

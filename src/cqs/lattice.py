@@ -171,6 +171,28 @@ def hj_expand(n: int, q: int, role: str = ROLE_GENERIC) -> CoeffChain:
     return CoeffChain(tuple(coeffs), role)
 
 
+def hj_lengths(n: int, q: int) -> tuple[int, int]:
+    """Lengths of hj_expand(n, n - q) and hj_expand(n, q) (the a- and
+    b-chains) in O(log n) steps, without building either chain.
+
+    The regular continued fraction n/q = [c_0; c_1, ..., c_k] gives
+    n/q = [c_0 + 1, 2^(c_1 - 1), c_2 + 2, 2^(c_3 - 1), ...] with entries
+    >= 2, ending in c_k + 1 when k > 0 is even (just [c_0] when k = 0).
+    Riemenschneider duality gives len(a) = 1 + sum(b_j - 2). Same domain as
+    hj_expand.
+    """
+    if n < 2 or not 0 < q < n or gcd(n, q) != 1:
+        raise DomainError(f"hj_lengths needs n >= 2, 0 < q < n coprime, got ({n}, {q})")
+    cs = []
+    while q:
+        cs.append(n // q)
+        n, q = q, n % q
+    even, odd = cs[0::2], cs[1::2]
+    len_b = len(even) + sum(odd) - len(odd)
+    b_excess = sum(even) - 1 - (len(cs) % 2)   # sum(b_j - 2)
+    return 1 + b_excess, len_b
+
+
 def cf_eval(chain) -> Fraction | None:
     """Evaluate [c_1,...,c_k] = c_1 - 1/[c_2,...,c_k] with exact rationals.
 

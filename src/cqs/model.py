@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
 
-from .errors import ConsistencyError, DomainError, HypersurfaceError, SmoothConeError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    HypersurfaceError,
+    ResourceLimitError,
+    SmoothConeError,
+)
 from .lattice import (
     M_SIDE,
     N_SIDE,
@@ -23,6 +29,7 @@ from .lattice import (
     LatticeVector,
     det2,
     hj_expand,
+    hj_lengths,
     mvec,
     nvec,
     pair,
@@ -32,6 +39,10 @@ from .lattice import (
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY: Mat2 = ((1, 0), (0, 1))
+
+#: longest a- or b-chain NormalForm.from_nq builds; every document lists
+#: both chains, so no bounded answer exists past it
+MAX_CHAIN_LENGTH = 10**5
 
 
 def mat_vec(m: Mat2, v: tuple[int, int]) -> tuple[int, int]:
@@ -149,6 +160,12 @@ class NormalForm:
             raise SmoothConeError("Y(1,q) is smooth")
         if n < 2 or not 0 < q < n or gcd(n, q) != 1:
             raise DomainError(f"need n >= 2, 0 < q < n coprime, got ({n}, {q})")
+        len_a, len_b = hj_lengths(n, q)
+        if max(len_a, len_b) > MAX_CHAIN_LENGTH:
+            raise ResourceLimitError(
+                f"Y({n},{q}) has an a-chain of length {len_a} and a b-chain of "
+                f"length {len_b}, beyond the bound of {MAX_CHAIN_LENGTH}"
+            )
         return cls(
             n=n,
             q=q,

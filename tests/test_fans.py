@@ -1,5 +1,5 @@
 """Fan constructions: minimal resolution, chain fans, RDP fan, validation,
-and the ray-subset search."""
+and the convex-path P-resolution oracle."""
 
 from math import gcd
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cqs.chains import KChain, admissible_chains, rdp_chain
-from cqs.errors import DomainError, ResourceLimitError
+from cqs.errors import DomainError
 from cqs.fans import (
     brute_force_presolutions,
     dominating_interior_rays,
@@ -140,9 +140,9 @@ class TestFanFromChain:
 
 
 @st.composite
-def singularities(draw, max_n=10**4, max_e=30):
-    """Y(n,q) with e >= 4 (q <= n - 2) and e <= max_e."""
-    n = draw(st.integers(3, max_n))
+def singularities(draw, min_n=3, max_n=10**4, max_e=30):
+    """Y(n,q) with min_n <= n <= max_n, e >= 4 (q <= n - 2) and e <= max_e."""
+    n = draw(st.integers(min_n, max_n))
     q = draw(st.integers(1, n - 2))
     assume(gcd(n, q) == 1)
     nf = NormalForm.from_nq(n, q)
@@ -231,11 +231,22 @@ class TestBruteForce:
             }
             assert brute == chains, (n, q)
 
-    def test_resource_guard(self):
+    def test_beyond_twenty_rays(self):
+        # 2^R ray subsets would be past 10^6 here; the path search is not
         nf = NormalForm.from_nq(97, 31)
         assert len(dominating_interior_rays(nf)) > 20
-        with pytest.raises(ResourceLimitError):
-            brute_force_presolutions(nf)
+        brute = [f.ray_set() for f in brute_force_presolutions(nf)]
+        chains = {fan_from_chain(nf, c).ray_set() for c in admissible_chains(nf.a_chain)}
+        assert len(brute) == len(set(brute))
+        assert set(brute) == chains
+
+    @settings(deadline=None)
+    @given(nf=singularities(min_n=21, max_n=200))
+    def test_matches_chain_fans_beyond_n_20(self, nf):
+        fans = brute_force_presolutions(nf)
+        assert all(validate_presolution(f).ok for f in fans)
+        chains = {fan_from_chain(nf, c).ray_set() for c in admissible_chains(nf.a_chain)}
+        assert {f.ray_set() for f in fans} == chains
 
 
 class TestFanFromRays:

@@ -15,6 +15,7 @@ from cqs.lattice import (
     cf_eval,
     det2,
     hj_expand,
+    hj_lengths,
     lattice_length,
     mvec,
     nvec,
@@ -61,6 +62,22 @@ class TestHjExpand:
                 chain = hj_expand(n, q)
                 assert all(c >= 2 for c in chain)
                 assert cf_eval(chain) == Fraction(n, q)
+
+    def test_lengths_match_expansions(self):
+        # len(a) and len(b) without expanding, for every coprime pair n < 400
+        for n in range(2, 400):
+            for q in range(1, n):
+                if gcd(n, q) == 1:
+                    expected = (len(hj_expand(n, n - q)), len(hj_expand(n, q)))
+                    assert hj_lengths(n, q) == expected, (n, q)
+
+    def test_lengths_of_huge_pair(self):
+        # a-chain [10^13+7, 3, 10^12+1, 5, 2, 10^14]: r = 1 + sum(a_i - 2)
+        a = (10**13 + 7, 3, 10**12 + 1, 5, 2, 10**14)
+        n = 27000000000029850000000007529999999999955
+        q = 27000000000027150000000006344999999999962
+        assert hj_expand(n, n - q).coeffs == a
+        assert hj_lengths(n, q) == (6, 1 + sum(c - 2 for c in a))
 
 
 class TestCfEval:

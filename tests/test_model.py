@@ -5,11 +5,12 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from cqs.errors import DomainError, HypersurfaceError, SmoothConeError
+from cqs.errors import DomainError, HypersurfaceError, ResourceLimitError, SmoothConeError
 from cqs.lattice import det2, nvec
 from cqs.model import (
     DUVAL_A,
     GENERAL,
+    MAX_CHAIN_LENGTH,
     SMOOTH,
     T_SINGULARITY,
     InputCone,
@@ -107,6 +108,16 @@ class TestNormalizeCone:
                 assert (rev.n, rev.q) == (n, nf.dual_q)
                 assert rev.a_chain.coeffs == nf.a_chain.coeffs[::-1]
                 assert rev.b_chain.coeffs == nf.b_chain.coeffs[::-1]
+
+    def test_chain_length_bound(self):
+        # Y(n,1) has an a-chain of n - 1 twos, Y(n,n-1) a b-chain of n - 1 twos
+        m = MAX_CHAIN_LENGTH
+        assert NormalForm.from_nq(m + 1, 1).e == m + 2
+        assert NormalForm.from_nq(m + 1, m).r == m
+        with pytest.raises(ResourceLimitError):
+            NormalForm.from_nq(m + 2, 1)
+        with pytest.raises(ResourceLimitError):
+            NormalForm.from_nq(m + 2, m + 1)
 
 
 class TestGenerators:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 import xml.etree.ElementTree as ET
 from math import gcd
 
@@ -74,6 +75,22 @@ class TestAnalyze:
         assert comp["is_artin"]
         assert comp["milnor"]["toric"] == comp["milnor"]["cf"]
         assert comp["dim"]["toric"] == comp["dim"]["cf"]
+
+    @pytest.mark.parametrize("n,q", [
+        # a-chain of about 2^126/11 entries
+        (2**127 - 1, 2**126 + 5),
+        # a-chain [10^13+7, 3, 10^12+1, 5, 2, 10^14], b-chain about 1.1 10^14 long
+        (27000000000029850000000007529999999999955,
+         27000000000027150000000006344999999999962),
+    ])
+    def test_oversized_chains_exit_2(self, n, q):
+        for fmt in ("--json", "--text"):
+            start = time.perf_counter()
+            code, out, err = run_cli("analyze", "--nq", str(n), str(q), fmt)
+            assert time.perf_counter() - start < 2
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_coprime_exit_2(self):
         code, _, err = run_cli("analyze", "--nq", "12", "8")
@@ -243,6 +260,13 @@ class TestSweep:
         assert code == 0
         assert "oracle fans checked:" in out
 
+    def test_oracle_checks_every_singularity(self):
+        # past n = 20 too: the oracle line equals the components line
+        code, out, _ = run_cli("sweep", "--max-n", "30", "--oracle")
+        assert code == 0
+        counts = dict(line.split(": ") for line in out.splitlines())
+        assert counts["oracle fans checked"] == counts["components"]
+
     def test_bad_max_n(self):
         assert run_cli("sweep", "--max-n", "1")[0] == 1
 
@@ -267,3 +291,19 @@ class TestMisc:
         code, _, err = run_cli("analyze", "--nq", "18", "11")
         assert code == 3
         assert "internal consistency" in err
+
+    @pytest.mark.parametrize("exc,code", [
+        (MemoryError(), 2),
+        (RuntimeError("unexpected\nstate"), 3),
+    ])
+    def test_any_exception_keeps_exit_contract(self, monkeypatch, exc, code):
+        from cqs import cli
+
+        def boom(nf):
+            raise exc
+
+        monkeypatch.setattr(cli, "component_table", boom)
+        got, out, err = run_cli("analyze", "--nq", "18", "11")
+        assert got == code
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err

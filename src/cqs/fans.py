@@ -331,13 +331,17 @@ def brute_force_presolutions(nf: NormalForm) -> tuple[Fan, ...]:
     """All P-resolutions, found as convex T-paths through the dominating rays.
 
     An edge i -> j between the counterclockwise-sorted rays exists when the
-    cone <rays[i], rays[j]> is T (one cone_geometry call per pair). An edge
-    is live when it ends on (-q,n) or continues in a live edge j -> k that
-    turns strictly convex at rays[j]; filled backward from the end ray,
-    live[i, j] holds the edge's cone and those k. The forward walk extends only live edges, so
-    every path it starts ends in a P-resolution: O(R^2) cones, O(R^3) turn
-    tests, and work per fan found. Consecutive roofs share the ray between
-    them, so roof continuity holds on every path.
+    cone <rays[i], rays[j]> is T: h | l, which with det = l*h and
+    l = gcd(dx, dy) of the roof's direction reads det | l^2, a test on the
+    integer coordinates alone. An edge is live when it ends on (-q,n) or
+    continues in a live edge j -> k that turns strictly convex at rays[j];
+    filled backward from the end ray, live[i, j] holds the edge's cone and
+    those k. Only live edges get their roof from cone_geometry, which
+    asserts det = l*h, so every cone of every fan found is checked. The
+    forward walk extends only live edges, so every path it starts ends in a
+    P-resolution: O(R^2) T-tests, O(R^3) turn tests, and work per fan found.
+    Consecutive roofs share the ray between them, so roof continuity holds
+    on every path.
     """
     if nf.e <= 3:
         raise DomainError("the P-resolution oracle needs embedding dimension >= 4")
@@ -347,14 +351,16 @@ def brute_force_presolutions(nf: NormalForm) -> tuple[Fan, ...]:
     end = len(rays) - 1
     live: dict[tuple[int, int], tuple[Cone2D, list[int]]] = {}
     for i in range(end - 1, -1, -1):
+        xi, yi = pts[i]
         for j in range(i + 1, end + 1):
-            cone = _intrinsic_cone(rays[i], rays[j])
-            if not cone.roof.is_t_like:
+            xj, yj = pts[j]
+            l = gcd(xj - xi, yj - yi)
+            if l * l % (xi * yj - yi * xj):
                 continue
             succ = [k for k in range(j + 1, end + 1)
                     if (j, k) in live and _turn(pts[i], pts[j], pts[k]) < 0]
             if j == end or succ:
-                live[i, j] = (cone, succ)
+                live[i, j] = (_intrinsic_cone(rays[i], rays[j]), succ)
     fans = []
     stack = [[0, j] for j in range(1, end + 1) if (0, j) in live]
     while stack:

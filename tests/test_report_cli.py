@@ -8,12 +8,13 @@ import xml.etree.ElementTree as ET
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqs.cli import main
 from cqs.invariants import component_table
 from cqs.model import InputCone, NormalForm, normalize_cone
 from cqs.render import fan_figures
-from cqs.report import to_json
+from cqs.report import build_document, to_json
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -29,6 +30,36 @@ WORKED_FIGURE_SHA256 = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+JS_SAFE = 2**53 - 1
+
+
+def wrap_big_ints(value):
+    """The document with every int beyond 53 bits as {"int": "<decimal>"}."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return {"int": str(value)} if abs(value) > JS_SAFE else value
+    if isinstance(value, list):
+        return [wrap_big_ints(v) for v in value]
+    if isinstance(value, dict):
+        return {k: wrap_big_ints(v) for k, v in value.items()}
+    return value
+
+
+def reference_json(doc: dict) -> str:
+    """The layout to_json must write, by the standard library's encoder."""
+    return json.dumps(wrap_big_ints(doc), sort_keys=True, indent=2) + "\n"
+
+
+def sheared_worked_cone():
+    """The worked cone sheared far away: same Y(18,11), but coordinates and
+    transform entries beyond 53 bits."""
+    big = 2**57
+    cone = [[1, big], [-11, 18 - 11 * big]]
+    nf = normalize_cone(InputCone.from_ints(*cone[0], *cone[1]))
+    return nf, {"cone": cone}
 
 
 def run_cli(*argv):
@@ -137,20 +168,103 @@ class TestBigIntEncoding:
         assert json.loads(to_json({"flag": True}))["flag"] is True
 
     def test_document_with_big_coordinates(self):
-        # the worked cone sheared far away: same Y(18,11), but coordinates
-        # and transform entries beyond float53 must come out wrapped
-        from cqs.invariants import component_table
-        from cqs.model import InputCone, normalize_cone
-        from cqs.report import build_document
-
-        big = 2**57
-        cone = [[1, big], [-11, 18 - 11 * big]]
-        nf = normalize_cone(InputCone.from_ints(*cone[0], *cone[1]))
+        nf, echo = sheared_worked_cone()
         assert (nf.n, nf.q) == (18, 11)
-        doc = build_document(component_table(nf), {"cone": cone})
-        parsed = json.loads(to_json(doc))
+        doc = build_document(component_table(nf), echo)
+        text = to_json(doc)
+        assert text == reference_json(doc)
+        parsed = json.loads(text)
         assert parsed["normal_form"]["n"] == 18
-        assert '"int"' in json.dumps(parsed)
+        assert parsed == wrap_big_ints(doc) != doc
+
+
+JS_EDGES = [2**53 - 1, 2**53, 2**53 + 1, 2**64, 10**40]
+json_ints = st.integers() | st.sampled_from([s * v for v in JS_EDGES for s in (1, -1)])
+json_texts = st.text(max_size=8) | st.lists(
+    st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028",
+                     "\U0001f600", "\ud800", "a", "%s", "{}", "[]", ": ", ",\n"])
+).map("".join)
+json_scalars = st.none() | st.booleans() | json_ints | json_texts
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(json_texts, children, max_size=5),
+    max_leaves=20,
+)
+
+
+def value_paths(value, path=()):
+    """Every path to a value inside value, containers included."""
+    yield path
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from value_paths(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from value_paths(v, path + (i,))
+
+
+def replaced(value, path, change):
+    """A copy of value with change applied to the value at path."""
+    if not path:
+        return change(value)
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {**value, head: replaced(value[head], rest, change)}
+    return [replaced(v, rest, change) if i == head else v for i, v in enumerate(value)]
+
+
+WORKED_DOC = build_document(
+    component_table(NormalForm.from_nq(18, 11)), {"nq": [18, 11]})
+WORKED_PATHS = list(value_paths(WORKED_DOC))
+
+
+class TestJsonMatchesReference:
+    """to_json against json.dumps(sort_keys=True, indent=2) on the wrapped
+    document, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.dictionaries(json_texts, json_values))
+    def test_any_document(self, doc):
+        assert to_json(doc) == reference_json(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(WORKED_PATHS), new=json_values,
+           key=st.none() | st.sampled_from(["", "h", "zz"]))
+    def test_component_entries_of_another_shape(self, path, new, key):
+        # one value of a real document replaced, or given one more key: the
+        # component template must write the same bytes or leave the entry
+        # to the generic walk
+        def change(value):
+            if key is not None and isinstance(value, dict):
+                return {**value, key: new}
+            return new
+
+        doc = replaced(WORKED_DOC, path, change)
+        assert to_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("argv", [
+        ("--nq", "18", "11"), ("--cone", "-2,3,4,3"), ("--nq", "4", "1"),
+    ])
+    def test_real_documents(self, argv):
+        code, out, _ = run_cli("analyze", *argv, "--json")
+        assert code == 0
+        assert out == reference_json(json.loads(out))
+
+    def test_sheared_cone_document(self):
+        nf, echo = sheared_worked_cone()
+        doc = build_document(component_table(nf), echo)
+        assert to_json(doc) == reference_json(doc)
+        assert to_json(json.loads(to_json(doc))) == to_json(doc)
+
+    def test_tuples_are_lists(self):
+        doc = {"nq": (18, 11), "rays": [(1, 0), (-11, 18)]}
+        assert to_json(doc) == to_json(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {"b": object()}}, b"x"])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            to_json({"value": value})
 
 
 class TestChains:

@@ -26,7 +26,7 @@ from .fans import brute_force_presolutions
 from .invariants import component_table, known_divergence_warnings
 from .lattice import ROLE_A, CoeffChain
 from .model import InputCone, NormalForm, normalize_cone
-from .render import fan_figures
+from .render import STYLE, fan_figures
 from .report import build_document, to_json, to_text
 
 
@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("render", help="SVG figures of every fan")
     add_input_flags(p)
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--scale", type=int, default=40, metavar="PX")
+    p.add_argument("--scale", type=int, default=STYLE["scale"], metavar="PX")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("sweep", help="cross-formula consistency sweep")

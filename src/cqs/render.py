@@ -5,6 +5,12 @@ Rendering is a pure function of the fan and the style constants below, so
 identical input yields byte-identical output. Figures are drawn in the input
 cone's coordinates. Every coordinate written is a whole number of thousandths
 of a pixel, so the figure is computed in integers.
+
+The lattice dots come from one tiled `<pattern>`: a `scale`-by-`scale` cell,
+offset by half a cell so that its one circle sits on a lattice point, fills a
+`<rect>` over the whole figure. A figure's size therefore follows its ray
+count, not the lattice points of its bounding box. The cell clips each dot
+when `scale` < 2·`dot_radius`; at those scales neighbouring dots merge anyway.
 """
 
 from __future__ import annotations
@@ -58,12 +64,16 @@ def fan_svg(fan: Fan, nf: NormalForm, scale: int | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for y in range(y0, y1 + 1):
-        for x in range(x0, x1 + 1):
-            out.append(
-                f'<circle cx="{sx(x)}" cy="{sy(y)}" r="{STYLE["dot_radius"]}" '
-                f'fill="{STYLE["dot_fill"]}"/>'
-            )
+    # x0 and y1 are lattice coordinates, so lattice points sit on multiples
+    # of the scale; the half-cell offset centres each cell's dot on one
+    half = _fmt(scale * 500)
+    out.append(
+        f'<defs><pattern id="dots" patternUnits="userSpaceOnUse" '
+        f'x="-{half}" y="-{half}" width="{scale}" height="{scale}">'
+        f'<circle cx="{half}" cy="{half}" r="{STYLE["dot_radius"]}" '
+        f'fill="{STYLE["dot_fill"]}"/></pattern></defs>'
+    )
+    out.append(f'<rect width="{width}" height="{height}" fill="url(#dots)"/>')
     for gx, gy in gens:
         out.append(
             f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(gx)}" y2="{sy(gy)}" '

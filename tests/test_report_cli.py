@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cqs.cli import main
 from cqs.invariants import component_table
 from cqs.model import InputCone, NormalForm, normalize_cone
-from cqs.render import fan_figures
+from cqs.render import STYLE, fan_figures
 from cqs.report import build_document, to_json
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -21,10 +21,10 @@ SVG = "{http://www.w3.org/2000/svg}"
 #: sha256 of the worked example's output; a change in any byte fails
 WORKED_TEXT_SHA256 = "29c1cf18d02fe6f7dcf32602a33e557f28d17dfcb692cb9cd3f92761696a2548"
 WORKED_FIGURE_SHA256 = {
-    "fan_1-2-2-1.svg": "54108c41fc00eae8284f95e848abecf2e5208274250c58be3f7a3098800b9482",
-    "fan_1-3-1-2.svg": "8d051f55adf52805f2a066c795fdfa24f01279bf02d5e7612afca0c3d301cf41",
-    "fan_3-1-2-2.svg": "63f928d989d1315b226d75dccd10275b670160ee8cd7db974c99271660b46ff7",
-    "fan_minimal.svg": "1b121614c6616bd4edc77f1e34601152913a918c01dd294cdd502ee9474b6674",
+    "fan_1-2-2-1.svg": "551145efdd63ca1dd052f516d7be7a133f640503e87f74bb221ca2d3c8721bb6",
+    "fan_1-3-1-2.svg": "c02ad28a1c733aa3d30dcc1704372891f7c218e3ad21c62ce2ee22700ad7cda7",
+    "fan_3-1-2-2.svg": "c80c4cb0cb70bdde44fe11584141ff38d69af4ae917ea2429db2c23aed3fcd06",
+    "fan_minimal.svg": "a5da16c3972c032c0230390be7dfabe05669c3c105eaeeddd6a9431f596035ef",
 }
 
 
@@ -354,6 +354,45 @@ class TestRender:
                 (roof,) = root.iter(SVG + "polyline")
                 points = [tuple(p.split(",")) for p in roof.get("points").split()]
                 assert points == ends, (nf, name)
+
+    @pytest.mark.parametrize("scale", [40, 20])
+    def test_dots_from_one_pattern(self, scale):
+        report = component_table(NormalForm.from_nq(18, 11))
+        for name, text in fan_figures(report, scale).items():
+            assert text.count("<circle") == 1, name
+            root = ET.fromstring(text)
+            (pattern,) = root.iter(SVG + "pattern")
+            (circle,) = root.iter(SVG + "circle")
+            (rect,) = root.iter(SVG + "rect")
+            assert list(pattern) == [circle]
+            assert pattern.get("patternUnits") == "userSpaceOnUse"
+            assert float(pattern.get("width")) == float(pattern.get("height")) == scale
+            assert float(circle.get("r")) == STYLE["dot_radius"]
+            assert circle.get("fill") == STYLE["dot_fill"]
+            # the dot fits its cell, and its centre lands on the pixel of
+            # lattice point (0,0), where every ray starts
+            cx, cy = float(circle.get("cx")), float(circle.get("cy"))
+            r = STYLE["dot_radius"]
+            assert r <= cx <= scale - r and r <= cy <= scale - r
+            line = next(root.iter(SVG + "line"))
+            ox, oy = float(line.get("x1")), float(line.get("y1"))
+            assert (float(pattern.get("x")) + cx - ox) % scale == 0, name
+            assert (float(pattern.get("y")) + cy - oy) % scale == 0, name
+            # the dots fill the whole viewBox, under the rays
+            _, _, width, height = root.get("viewBox").split()
+            assert rect.get("fill") == f"url(#{pattern.get('id')})"
+            assert (rect.get("x", "0"), rect.get("y", "0")) == ("0", "0")
+            assert (rect.get("width"), rect.get("height")) == (width, height)
+            assert list(root).index(rect) < list(root).index(line)
+
+    def test_figure_size_follows_rays(self):
+        # a = [30,30]: the minimal resolution's bounding box holds about 787k
+        # lattice points, its figure 59 rays
+        nf = NormalForm.from_nq(899, 869)
+        assert nf.a_chain.coeffs == (30, 30)
+        for name, text in fan_figures(component_table(nf)).items():
+            size = len(text.encode("utf-8"))
+            assert size <= 1024 + 256 * text.count("<line"), (name, size)
 
     def test_unwritable_directory_exit_1(self, tmp_path):
         blocker = tmp_path / "blocker"
